@@ -264,8 +264,11 @@ bench_result run_full_system(std::size_t shards, std::size_t workers,
   cfg.net.delta_min = 50_us;  // generous lookahead keeps rounds coarse
   cfg.net.delta_max = 150_us;
   cfg.net.per_byte = 0_ns;
-  cfg.shards = shards;
-  cfg.workers = workers;
+  if (shards > 0) {  // 0 = the single-engine reference
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = shards;
+    cfg.runtime.workers = workers;
+  }
   core::system sys(kSysNodes, cfg);
 
   svc::fault_detector fd(sys, {5_ms, 18_ms});
@@ -352,8 +355,9 @@ scale_result run_scale_point(std::size_t nodes, duration horizon) {
     cfg.net.delta_min = 20_us;
     cfg.net.delta_max = 60_us;
     cfg.net.per_byte = 0_ns;
-    cfg.shards = 4;
-    cfg.workers = 4;
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = 4;
+    cfg.runtime.workers = 4;
     core::system sys(nodes, cfg);
 
     svc::fault_detector fd(sys, {10_ms, 35_ms, 50});

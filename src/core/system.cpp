@@ -12,13 +12,6 @@ system::system(std::size_t node_count) : system(node_count, config{}) {}
 std::unique_ptr<hades::runtime> system::make_backend(const config& cfg,
                                                      std::size_t node_count) {
   hades::runtime::options o = cfg.runtime;
-  if (o.backend.empty()) {
-    // Deprecated-field shim (one PR): pre-factory configs selected the
-    // backend through config.shards / config.workers.
-    o.backend = cfg.shards == 0 ? "sim" : "sharded";
-    o.shards = cfg.shards;
-    o.workers = cfg.workers;
-  }
   o.node_count = node_count;
   if (o.backend == "sharded") {
     validate(cfg.net.delta_min > duration::zero(),

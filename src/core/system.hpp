@@ -46,33 +46,21 @@ class system {
     bool tracing = true;
     /// Runtime backend selection through the factory registry
     /// (`hades::runtime::make`; DESIGN.md, "Runtime factory & injector
-    /// API"). Leave `runtime.backend` empty to fall back to the deprecated
-    /// `shards`/`workers` fields below. The system fills `node_count`, and
-    /// for the sharded backend the lookahead (= net.delta_min, which must
-    /// then be > 0) and a contiguous-blocks default node map; everything
-    /// else passes through untouched, so a realtime multi-process config
-    /// (epoch, process index/count, node->process map) rides here too. The
-    /// system itself never names a concrete backend type.
-    hades::runtime::options runtime = [] {
-      hades::runtime::options o;
-      o.backend = "";  // empty: fall back to the deprecated fields below
-      return o;
-    }();
-    /// DEPRECATED (shim kept for one PR — use `runtime.backend = "sharded"`,
-    /// `runtime.shards`): 0 = single engine, >0 = sharded with this many
-    /// node groups. Honoured only while `runtime.backend` is empty.
-    std::size_t shards = 0;
-    /// DEPRECATED (shim kept for one PR — use `runtime.workers`): worker
-    /// threads advancing shards concurrently (sharded backend only; ignored
-    /// when shards == 0). The system's state is shard-confined (DESIGN.md,
-    /// "Shard confinement"): per-shard monitor/trace partitions, per-task
+    /// API"). The system fills `node_count`, and for the sharded backend
+    /// the lookahead (= net.delta_min, which must then be > 0) and a
+    /// contiguous-blocks default node map; everything else passes through
+    /// untouched, so a realtime multi-process config (epoch, process
+    /// index/count, node->process map) rides here too. The system itself
+    /// never names a concrete backend type. Any `runtime.workers` count is
+    /// safe: the system's state is shard-confined (DESIGN.md, "Shard
+    /// confinement") — per-shard monitor/trace partitions, per-task
     /// bookkeeping owned by the task's home shard, per-source network
-    /// state, and every cross-node structural effect — shard creation,
-    /// invocation activation, condition updates, deadlock probes — rides a
-    /// wire control token (DESIGN.md, "Cross-shard control tokens"), so any
-    /// worker count, including on shard-spanning task graphs, produces
-    /// bit-identical runs.
-    std::size_t workers = 0;
+    /// state, and every cross-node structural effect (shard creation,
+    /// invocation activation, condition updates, deadlock probes) rides a
+    /// wire control token (DESIGN.md, "Cross-shard control tokens"), so
+    /// every worker count, including on shard-spanning task graphs,
+    /// produces bit-identical runs.
+    hades::runtime::options runtime;
   };
 
   explicit system(std::size_t node_count);

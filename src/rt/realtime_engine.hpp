@@ -1,11 +1,14 @@
-// Real-clock runtime backend (DESIGN.md, "Runtime factory & injector API").
+// Real-clock runtime backend (DESIGN.md, "Realtime backend").
 //
 // The same `hades::runtime` contract the discrete-event backends implement,
 // driven by `std::chrono::steady_clock`: virtual time t maps to the real
-// instant `epoch + t * time_scale`, and a condvar wait loop fires each
-// pending event when the wall clock passes its date. Dispatchers, services,
-// the scenario injector — everything programmed against `hades::runtime` —
-// run unmodified; what was simulated latency becomes actual elapsed time.
+// instant `epoch + t * time_scale`. The engine is a wall-clock driver
+// around one `sim::engine` — the pooled event core every backend schedules
+// through: the run loop peeks the core's next date, waits on a condvar
+// until that date's real deadline, and steps the core. Dispatchers,
+// services, the scenario injector — everything programmed against
+// `hades::runtime` — run unmodified; what was simulated latency becomes
+// actual elapsed time.
 //
 // Contract notes specific to this backend:
 //   * `now()` derives from the wall clock (monotone via a watermark, so it
@@ -13,48 +16,46 @@
 //     actual firing instant, which is >= the scheduled date, never exactly
 //     equal. Time starts at ~0: construction (or the configured shared
 //     epoch) is virtual zero, and pre-epoch reads clamp to 0.
-//   * `at` clamps past dates to now instead of rejecting them — under real
-//     scheduling jitter a periodic chain legitimately re-arms a date that
-//     just slipped behind the clock; the event fires as soon as possible
-//     and FIFO order among clamped events is preserved.
+//   * a date the wall clock has already passed keeps its nominal date as
+//     its ordering key and fires as soon as possible — so `run_until(t)`
+//     still drains every event dated <= t however late the host runs.
+//     Only dates behind the last fired date are raised to it (the core's
+//     clock never runs backwards); FIFO order among equal keys holds.
 //   * every scheduling call (`at`, `cancel`, batches) is thread-safe: a
 //     socket transport's receiver thread injects deliveries while the run
-//     loop executes. Callbacks themselves execute on the thread inside
-//     `run`/`run_until`/`step`, one at a time.
-//   * multi-process placement: with `process_count > 1`, `node_process`
-//     assigns each node an owning process. `shard_of` reports the owner,
-//     `at_node` on a foreign node is dropped (returns `invalid_event`) —
-//     the owner runs the equivalent chain; what must cross processes rides
-//     the socket transport, not the scheduler.
+//     loop executes. The loop holds the engine's mutex, callbacks
+//     included, so a scheduling call from another thread waits for at most
+//     the running callback. Callbacks execute on the thread inside
+//     `run`/`run_until`/`step`, one at a time, and schedule re-entrantly.
+//   * multi-process placement: with `process_count > 1`, `node_shard` maps
+//     each node to an owning process (empty = `contiguous_blocks`).
+//     `shard_of` reports the owner, `at_node` on a foreign node is dropped
+//     (returns `invalid_event`) — the owner runs the equivalent chain; what
+//     must cross processes rides the socket transport, not the scheduler.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "sim/runtime.hpp"
-#include "util/types.hpp"
 
 namespace hades::rt {
 
-struct realtime_params {
-  /// Shared steady_clock epoch (nanoseconds since the clock's arbitrary
-  /// zero) mapping to virtual time 0; 0 = construction instant. A
-  /// multi-process harness picks one epoch slightly in the future and hands
-  /// it to every process so their virtual clocks agree.
-  std::int64_t epoch_ns = 0;
-  /// Real seconds per virtual second (> 1 slows the run down, giving tight
-  /// plans more real headroom per virtual Δ).
-  double time_scale = 1.0;
-  std::uint32_t process_index = 0;
-  std::size_t process_count = 1;
-  /// node -> owning process; nodes past the end (or with an empty vector)
-  /// map to contiguous balanced blocks over `node_count`.
-  std::vector<std::uint32_t> node_process;
-  std::size_t node_count = 0;
-};
+/// Construct the realtime backend from the realtime fields of `o`
+/// (epoch_ns, time_scale, process_index/count, node_count, node_shard).
+std::unique_ptr<hades::runtime> make_realtime_engine(
+    const hades::runtime::options& o);
 
-std::unique_ptr<hades::runtime> make_realtime_engine(realtime_params p = {});
+/// The default node -> group map every built-in multi-group backend and the
+/// socket transport share: contiguous balanced blocks, node n of
+/// `node_count` in group `n * groups / node_count`. Workloads place
+/// communicating tasks on neighbouring node ids, so blocks minimize
+/// cross-group traffic — and the sharded/realtime backends agree on
+/// placement, which the sim-vs-real harness relies on.
+std::vector<std::uint32_t> contiguous_blocks(std::size_t node_count,
+                                             std::size_t groups);
 
 /// Ensure "sim", "sharded", and "realtime" are registered with
 /// `hades::runtime::make`'s registry. Idempotent; `runtime::make` and

@@ -27,19 +27,6 @@ registry& the_registry() {
   return r;
 }
 
-/// The default node map every built-in multi-group backend shares:
-/// contiguous balanced blocks (`n * groups / node_count`). Workloads place
-/// communicating tasks on neighbouring node ids, so blocks minimize
-/// cross-group traffic — and the sharded/realtime backends agree on
-/// placement, which the sim-vs-real harness relies on.
-std::vector<std::uint32_t> contiguous_blocks(std::size_t node_count,
-                                             std::size_t groups) {
-  std::vector<std::uint32_t> map(node_count);
-  for (std::size_t n = 0; n < node_count; ++n)
-    map[n] = static_cast<std::uint32_t>(n * groups / node_count);
-  return map;
-}
-
 }  // namespace
 
 void runtime::register_backend(const std::string& name, factory_fn f) {
@@ -76,6 +63,14 @@ std::vector<std::string> runtime::registered_backends() {
 
 namespace rt {
 
+std::vector<std::uint32_t> contiguous_blocks(std::size_t node_count,
+                                             std::size_t groups) {
+  std::vector<std::uint32_t> map(node_count);
+  for (std::size_t n = 0; n < node_count; ++n)
+    map[n] = static_cast<std::uint32_t>(n * groups / node_count);
+  return map;
+}
+
 void register_builtin_backends() {
   static std::once_flag once;
   std::call_once(once, [] {
@@ -94,21 +89,7 @@ void register_builtin_backends() {
       return sim::make_sharded_engine(std::move(sp));
     });
 
-    runtime::register_backend("realtime", [](const runtime::options& o) {
-      realtime_params rp;
-      rp.epoch_ns = o.epoch_ns;
-      rp.time_scale = o.time_scale;
-      rp.process_index = o.process_index;
-      rp.process_count = o.process_count;
-      rp.node_count = o.node_count;
-      rp.node_process = !o.node_shard.empty()
-                            ? o.node_shard
-                            : (o.process_count > 1
-                                   ? contiguous_blocks(o.node_count,
-                                                       o.process_count)
-                                   : std::vector<std::uint32_t>{});
-      return make_realtime_engine(std::move(rp));
-    });
+    runtime::register_backend("realtime", &make_realtime_engine);
   });
 }
 

@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "rt/codecs.hpp"
+#include "rt/realtime_engine.hpp"
 #include "sim/wire_codec.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -137,13 +138,14 @@ struct socket_transport::impl {
                       std::greater<delayed_send>>
       delay_q;
 
-  explicit impl(socket_transport_params params) : p(std::move(params)), draws(p.seed) {}
+  explicit impl(socket_transport_params params) : p(std::move(params)), draws(p.seed) {
+    // The realtime engine's placement rule, so both agree on every owner.
+    if (p.node_process.empty())
+      p.node_process = contiguous_blocks(p.node_count, p.process_count);
+  }
 
   [[nodiscard]] std::uint32_t owner_of(node_id n) const {
-    if (n < p.node_process.size()) return p.node_process[n];
-    if (p.node_count == 0 || p.process_count <= 1) return 0;
-    return static_cast<std::uint32_t>(static_cast<std::size_t>(n) *
-                                      p.process_count / p.node_count);
+    return n < p.node_process.size() ? p.node_process[n] : 0;
   }
 
   [[nodiscard]] bool partitioned_locked(node_id a, node_id b,

@@ -94,8 +94,11 @@ cell_result run_cell(const scenario_spec& spec, std::uint64_t seed,
   // the cell adds the sweep bookkeeping and the determinism checksum.
   deployment_options dopt;
   dopt.seed = seed;
-  dopt.shards = shards;
-  dopt.workers = workers;
+  if (shards > 1) {  // shards <= 1: the single engine, no worker dimension
+    dopt.backend.backend = "sharded";
+    dopt.backend.shards = shards;
+    dopt.backend.workers = workers;
+  }
   deployment d(spec, dopt);
   d.start();
   d.run();

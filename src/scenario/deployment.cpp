@@ -29,16 +29,7 @@ deployment::deployment(const scenario_spec& spec, deployment_options opt)
   cfg.net = opt_.net;
   cfg.seed = opt_.seed;
   cfg.tracing = false;
-  if (!opt_.backend.backend.empty()) {
-    cfg.runtime = opt_.backend;
-  } else {
-    cfg.shards = opt_.shards > 1 ? opt_.shards : 0;
-    // Worker threads are a sharded-backend dimension; every service and
-    // sink below is shard-confined (DESIGN.md, "Shard confinement"), so any
-    // worker count must reproduce the serial checksum bit-for-bit — the
-    // gate run_campaign enforces.
-    cfg.workers = cfg.shards > 0 ? opt_.workers : 0;
-  }
+  cfg.runtime = opt_.backend;
   sys_ = std::make_unique<core::system>(spec_.nodes, cfg);
 
   fd_ = std::make_unique<svc::fault_detector>(*sys_, spec_.fd);

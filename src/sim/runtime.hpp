@@ -229,8 +229,9 @@ struct sharded_params {
   /// Worker threads advancing shards concurrently. 0 = serial deterministic
   /// rounds on the calling thread. Worker mode requires every event handler
   /// to touch only state owned by its executing shard (DESIGN.md, "Shard
-  /// confinement"); `core::system` forwards its config.workers here and
-  /// validates the confinement rules it can check at registration time.
+  /// confinement"); `core::system` forwards its `config.runtime.workers`
+  /// here and validates the confinement rules it can check at registration
+  /// time.
   std::size_t workers = 0;
   duration lookahead = duration::microseconds(10);  // must be >= 1ns
   /// node -> shard. Nodes past the end of the vector map to `node % shards`.

@@ -227,6 +227,27 @@ TEST(RealtimeEngine, CrossThreadArmDuringWaitLosesNoEvents) {
   EXPECT_TRUE(rt->empty());
 }
 
+TEST(RealtimeEngine, LateNestedEventStillDrainsBeforeRunUntilBound) {
+  // The draining guarantee on the late path, forced deterministically: the
+  // first callback overruns past the run_until bound before arming a
+  // nested event whose nominal date (t0+2ms) is already behind the wall
+  // clock. That event must keep its nominal date and fire inside
+  // run_until(t0+3ms) — re-keying it to the (later) wall clock would push
+  // it past the bound and leave it pending.
+  auto rt = runtime::make(options_for("realtime"));
+  const time_point t0 = rt->now() + 5_ms;
+  std::vector<int> order;
+  rt->at(t0 + 1_ms, [&] {
+    order.push_back(1);
+    while (rt->now() < t0 + 4_ms) {
+    }
+    rt->at(t0 + 2_ms, [&] { order.push_back(2); });
+  });
+  rt->run_until(t0 + 3_ms);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(rt->empty());
+}
+
 TEST(RuntimeFactory, UnknownBackendThrows) {
   runtime::options o;
   o.backend = "no-such-backend";

@@ -114,8 +114,11 @@ core::system::config parity_config(backend_point pt) {
   cfg.net.delta_min = 20_us;
   cfg.net.delta_max = 60_us;
   cfg.seed = 7;
-  cfg.shards = pt.shards;
-  cfg.workers = pt.shards > 0 ? pt.workers : 0;
+  if (pt.shards > 0) {  // 0 = the single-engine reference
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = pt.shards;
+    cfg.runtime.workers = pt.workers;
+  }
   return cfg;
 }
 

@@ -220,7 +220,10 @@ core::system::config system_cfg(std::size_t shards) {
   cfg.net.delta_min = 20_us;
   cfg.net.delta_max = 60_us;
   cfg.net.per_byte = 8_ns;
-  cfg.shards = shards;
+  if (shards > 0) {  // 0 = the single-engine reference
+    cfg.runtime.backend = "sharded";
+    cfg.runtime.shards = shards;
+  }
   return cfg;
 }
 
