@@ -24,10 +24,9 @@ void net_task::send(node_id dst, int channel, sim::wire_payload payload,
 
 void net_task::send_all(int channel, const sim::wire_payload& payload,
                         std::size_t size_bytes) {
-  for (node_id n : net_->attached_nodes()) {
-    if (n == node_) continue;
-    send(n, channel, payload, size_bytes);
-  }
+  net_->for_each_attached([&](node_id n) {
+    if (n != node_) send(n, channel, payload, size_bytes);
+  });
 }
 
 void net_task::on_channel(int channel, channel_handler h) {
@@ -58,9 +57,10 @@ void net_task::transmit_head() {
 void net_task::on_frame(const sim::message& m) {
   if (halted_) return;
   // The ATM-card interrupt handler (w_net at interrupt priority) runs
-  // first; the frame is demultiplexed when the handler completes.
-  cpu_->post_interrupt("nic@" + std::to_string(node_), costs_.w_net,
-                       [this, m] {
+  // first; the frame is demultiplexed when the handler completes. The
+  // closure ({this, message}) fits the event core's inline buffer.
+  cpu_->post_interrupt([this] { return "nic@" + std::to_string(node_); },
+                       costs_.w_net, [this, m] {
                          if (halted_) return;
                          ++received_;
                          const auto ch = static_cast<std::size_t>(m.channel);

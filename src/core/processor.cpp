@@ -9,23 +9,38 @@ constexpr duration zero = duration::zero();
 }
 
 processor::thread& processor::get(kthread_id t) {
-  auto it = threads_.find(t);
-  require(it != threads_.end(),
-          "processor: unknown thread #" + std::to_string(t.value));
-  return it->second;
+  return const_cast<thread&>(std::as_const(*this).get(t));
 }
 
 const processor::thread& processor::get(kthread_id t) const {
   auto it = threads_.find(t);
-  require(it != threads_.end(),
-          "processor: unknown thread #" + std::to_string(t.value));
+  require(it != threads_.end(), [t] {
+    return "processor: unknown thread #" + std::to_string(t.value);
+  });
   return it->second;
 }
 
-void processor::trace(sim::trace_kind k, const std::string& subject,
-                      std::string detail) {
-  if (trace_ != nullptr)
-    trace_->record(rt_->now(), node_, k, subject, std::move(detail));
+void processor::trace(sim::trace_kind k, std::string_view subject,
+                      std::string_view detail) {
+  if (tracing()) trace_->record(rt_->now(), node_, k, subject, detail);
+}
+
+namespace {
+// Position of `key` in the descending queue: the first entry not above it.
+template <typename Vec, typename Key>
+auto queue_slot(Vec& q, const Key& key) {
+  return std::lower_bound(q.begin(), q.end(), key,
+                          [](const auto& e, const Key& k) { return e.key > k; });
+}
+}  // namespace
+
+void processor::enqueue(const thread& th, kthread_id t) {
+  const queue_key key = key_of(th);
+  queue_.insert(queue_slot(queue_, key), queued{key, t});
+}
+
+void processor::dequeue(const thread& th) {
+  queue_.erase(queue_slot(queue_, key_of(th)));
 }
 
 kthread_id processor::create(std::string name, priority prio, priority pt,
@@ -54,12 +69,13 @@ void processor::destroy(kthread_id t) {
 
 void processor::make_runnable(kthread_id t) {
   thread& th = get(t);
-  require(th.st == state::suspended,
-          "processor::make_runnable: thread '" + th.name +
-              "' is not suspended");
+  require(th.st == state::suspended, [&th] {
+    return "processor::make_runnable: thread '" + th.name +
+           "' is not suspended";
+  });
   th.st = state::queued;
   th.queue_seq = next_queue_seq_++;
-  queue_.emplace(key_of(th), t);
+  enqueue(th, t);
   trace(sim::trace_kind::thread_runnable, th.name);
   reschedule();
 }
@@ -87,7 +103,7 @@ void processor::requeue(kthread_id t) {
   th.boosted = true;  // started jobs compete at their preemption threshold
   // Keep the original queue_seq: a preempted thread resumes before
   // same-priority threads that arrived later.
-  queue_.emplace(key_of(th), t);
+  enqueue(th, t);
   running_ = invalid_kthread;
   ++stats_.preemptions;
   trace(sim::trace_kind::thread_preempted, th.name);
@@ -95,7 +111,7 @@ void processor::requeue(kthread_id t) {
 
 void processor::start_burst(kthread_id t) {
   thread& th = get(t);
-  if (th.st == state::queued) queue_.erase(key_of(th));
+  if (th.st == state::queued) dequeue(th);
   th.st = state::running;
   running_ = t;
   th.burst_cs = (last_on_cpu_ == t) ? zero : params_.context_switch;
@@ -118,10 +134,13 @@ void processor::complete(kthread_id t) {
   th.boosted = false;
   running_ = invalid_kthread;
   trace(sim::trace_kind::thread_done, th.name);
-  // The callback may destroy this thread or create/release others; copy it
-  // out before anything else happens.
-  const completion_fn on_done = th.on_done;
+  // The callback may destroy this thread or create/release others: take it
+  // out before anything else happens, and hand it back if the thread
+  // survived (a revived thread runs the same callback again).
+  completion_fn on_done = std::move(th.on_done);
   if (on_done) on_done();
+  if (auto it = threads_.find(t); it != threads_.end() && !it->second.on_done)
+    it->second.on_done = std::move(on_done);
   reschedule();
 }
 
@@ -130,7 +149,7 @@ void processor::reschedule() {
 
   const bool have_candidate = !queue_.empty();
   const kthread_id candidate =
-      have_candidate ? queue_.begin()->second : invalid_kthread;
+      have_candidate ? queue_.back().id : invalid_kthread;
 
   if (running_ != invalid_kthread) {
     thread& run = get(running_);
@@ -164,7 +183,7 @@ void processor::suspend(kthread_id t) {
       reschedule();
       return;
     case state::queued:
-      queue_.erase(key_of(th));
+      dequeue(th);
       th.st = state::suspended;
       trace(sim::trace_kind::thread_blocked, th.name);
       return;
@@ -178,10 +197,10 @@ void processor::set_priority(kthread_id t, priority prio) {
   thread& th = get(t);
   if (th.prio == prio) return;
   const bool queued = th.st == state::queued;
-  if (queued) queue_.erase(key_of(th));
+  if (queued) dequeue(th);
   th.prio = prio;
   th.pt = std::max(th.pt, prio);
-  if (queued) queue_.emplace(key_of(th), t);
+  if (queued) enqueue(th, t);
   reschedule();
 }
 
@@ -190,9 +209,9 @@ void processor::set_threshold(kthread_id t, priority pt) {
   // The threshold participates in the queue key of boosted (preempted)
   // threads: reposition to keep the key consistent.
   const bool queued = th.st == state::queued;
-  if (queued) queue_.erase(key_of(th));
+  if (queued) dequeue(th);
   th.pt = std::max(pt, th.prio);
-  if (queued) queue_.emplace(key_of(th), t);
+  if (queued) enqueue(th, t);
   reschedule();
 }
 
@@ -214,8 +233,7 @@ void processor::add_work(kthread_id t, duration extra) {
   if (th.st == state::done) th.st = state::suspended;  // revivable
 }
 
-void processor::post_interrupt(std::string name, duration wcet,
-                               std::function<void()> body) {
+void processor::queue_interrupt(duration wcet, sim::event_fn body) {
   require(!wcet.is_negative() && !wcet.is_infinite(),
           "processor::post_interrupt: bad handler WCET");
   if (!irq_active()) {
@@ -226,12 +244,17 @@ void processor::post_interrupt(std::string name, duration wcet,
   ++stats_.interrupts;
   stats_.interrupt_time += wcet;
   stats_.busy += wcet;
-  trace(sim::trace_kind::custom, name, "interrupt");
+  // Handler completion dates never decrease and same-date events fire in
+  // scheduling order, so the engine events pop the bodies in FIFO order.
+  irq_bodies_.push_back(std::move(body));
+  rt_->at(irq_busy_until_, [this] { run_interrupt(); });
+}
 
-  rt_->at(irq_busy_until_, [this, body = std::move(body)] {
-    if (body) body();
-    if (!irq_active()) reschedule();
-  });
+void processor::run_interrupt() {
+  sim::event_fn body = std::move(irq_bodies_.front());
+  irq_bodies_.pop_front();
+  if (body) body();
+  if (!irq_active()) reschedule();
 }
 
 bool processor::is_runnable(kthread_id t) const {
@@ -274,7 +297,8 @@ const std::string& processor::name(kthread_id t) const { return get(t).name; }
 std::vector<kthread_id> processor::run_queue() const {
   std::vector<kthread_id> out;
   out.reserve(queue_.size());
-  for (const auto& [k, id] : queue_) out.push_back(id);
+  for (auto it = queue_.rbegin(); it != queue_.rend(); ++it)
+    out.push_back(it->id);
   return out;
 }
 

@@ -13,18 +13,26 @@
 // Execution is modelled in virtual time: a thread owns `remaining` work; a
 // completion event is scheduled while it runs and re-computed whenever it is
 // preempted or paused by an interrupt burst.
+//
+// Every frame and every EU instance crosses this class, so its steady state
+// allocates nothing (DESIGN.md, "Simulated kernel: allocation discipline"):
+// the run queue is a reserved sorted vector, interrupt bodies wait in a
+// ring, and check messages and trace text are formatted only when a check
+// fails or the trace is recording.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/runtime.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
+#include "util/ring.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -36,11 +44,15 @@ struct kernel_params {
 
 class processor {
  public:
-  using completion_fn = std::function<void()>;
+  /// Runs each time the thread finishes its work. A thread revived by
+  /// `add_work` (net_mngt, the scheduler) keeps its callback across runs.
+  using completion_fn = sim::event_fn;
 
   processor(runtime& rt, node_id node, kernel_params params,
             sim::trace_recorder* trace = nullptr)
-      : rt_(&rt), node_(node), params_(params), trace_(trace) {}
+      : rt_(&rt), node_(node), params_(params), trace_(trace) {
+    queue_.reserve(16);
+  }
   processor(const processor&) = delete;
   processor& operator=(const processor&) = delete;
 
@@ -69,9 +81,17 @@ class processor {
   // --- interrupts ----------------------------------------------------------
   /// Run a non-preemptible handler of length `wcet` at interrupt priority;
   /// `body` executes when the handler completes. Back-to-back interrupts
-  /// queue FIFO.
-  void post_interrupt(std::string name, duration wcet,
-                      std::function<void()> body);
+  /// queue FIFO. `label` names the handler in the trace: a string, or a
+  /// callable returning one, invoked only while the trace is recording.
+  template <typename Label>
+  void post_interrupt(const Label& label, duration wcet, sim::event_fn body) {
+    queue_interrupt(wcet, std::move(body));
+    if (!tracing()) return;
+    if constexpr (std::is_invocable_v<const Label&>)
+      trace(sim::trace_kind::custom, label(), "interrupt");
+    else
+      trace(sim::trace_kind::custom, label, "interrupt");
+  }
 
   // --- queries -------------------------------------------------------------
   [[nodiscard]] bool exists(kthread_id t) const { return threads_.contains(t); }
@@ -116,7 +136,8 @@ class processor {
     sim::event_id completion = sim::invalid_event;
   };
 
-  // Run-queue key: higher effective priority first, then FIFO.
+  // Run-queue key: higher effective priority first, then FIFO. Smaller
+  // keys run first.
   using queue_key = std::pair<std::int64_t, std::uint64_t>;
   static priority effective_prio(const thread& th) {
     return th.boosted ? std::max(th.prio, th.pt) : th.prio;
@@ -124,6 +145,12 @@ class processor {
   static queue_key key_of(const thread& th) {
     return {-static_cast<std::int64_t>(effective_prio(th)), th.queue_seq};
   }
+  struct queued {
+    queue_key key;
+    kthread_id id;
+  };
+  void enqueue(const thread& th, kthread_id t);
+  void dequeue(const thread& th);
 
   thread& get(kthread_id t);
   const thread& get(kthread_id t) const;
@@ -133,8 +160,13 @@ class processor {
   void start_burst(kthread_id t);
   void complete(kthread_id t);
   void reschedule();
-  void trace(sim::trace_kind k, const std::string& subject,
-             std::string detail = {});
+  void queue_interrupt(duration wcet, sim::event_fn body);
+  void run_interrupt();
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->enabled();
+  }
+  void trace(sim::trace_kind k, std::string_view subject,
+             std::string_view detail = {});
   [[nodiscard]] bool irq_active() const {
     return rt_->now() < irq_busy_until_;
   }
@@ -145,7 +177,11 @@ class processor {
   sim::trace_recorder* trace_;
 
   std::unordered_map<kthread_id, thread> threads_;
-  std::map<queue_key, kthread_id> queue_;
+  // Sorted by descending key, so the thread to run next is at the back:
+  // dispatching it erases the last slot, and an insert shifts only the
+  // threads that rank above the newcomer.
+  std::vector<queued> queue_;
+  util::ring<sim::event_fn> irq_bodies_;  // FIFO, one per pending handler
   kthread_id running_ = invalid_kthread;
   kthread_id last_on_cpu_ = invalid_kthread;
   std::uint64_t next_thread_ = 1;

@@ -10,8 +10,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/task_model.hpp"
 #include "util/time.hpp"
@@ -32,20 +33,24 @@ enum class notification_kind { atv, trm, rac, rre };
 }
 
 /// Static and per-instance facts about the EU behind a thread; what a
-/// scheduling policy is allowed to know.
+/// scheduling policy is allowed to know. The names and the resource list are
+/// views into the task's registered `task_graph`, which the owning
+/// `core::system` keeps, unmodified, for its whole lifetime: copying an
+/// `eu_info` never allocates, and a policy that keeps these facts past the
+/// owning system must copy the viewed data out.
 struct eu_info {
   task_id task = invalid_task;
-  std::string task_name;
+  std::string_view task_name;
   instance_number instance = 0;
   eu_index eu = 0;
-  std::string eu_name;
+  std::string_view eu_name;
   node_id node = 0;
   time_point activation;              // instance activation date
   time_point absolute_deadline;       // activation + task deadline
   duration relative_deadline = duration::infinity();  // task D
   duration period = duration::infinity();             // task period / pseudo-period
   duration wcet = duration::zero();
-  std::vector<resource_claim> resources;
+  std::span<const resource_claim> resources;
   priority static_priority = prio::min_app;
 };
 

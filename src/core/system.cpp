@@ -85,8 +85,8 @@ void system::schedule_clock_tick(node_id n, time_point at) {
   // off the previous one, not off now()), and crash_node can cancel the
   // pending link because the chain never leaves the node's shard.
   nodes_[n]->clk_timer = rt_->at_node(n, at, [this, n, at] {
-    cpu(n).post_interrupt("clk@" + std::to_string(n), cfg_.costs.w_clk,
-                          nullptr);
+    cpu(n).post_interrupt([n] { return "clk@" + std::to_string(n); },
+                          cfg_.costs.w_clk, sim::event_fn{});
     schedule_clock_tick(n, at + cfg_.costs.p_clk);
   });
 }
@@ -236,8 +236,7 @@ std::optional<instance_number> system::activate_internal(
   const instance_number k = next_instance_[t]++;
   instance_record rec;
   rec.activation = now;
-  auto procs = g.processors();
-  if (procs.empty()) procs.push_back(home);
+  const std::span<const node_id> procs = involved_nodes(g);
   rec.pending_shards.insert(procs.begin(), procs.end());
   if (origin.waiter_node.has_value()) rec.sync_waiter = origin;
   // Completing exactly at the deadline is timely: the check runs one tick
@@ -250,23 +249,24 @@ std::optional<instance_number> system::activate_internal(
                      [this, t, k] { on_deadline(t, k); });
   instances_.at(t).emplace(k, std::move(rec));
   ++st.activations;
-  trace_.record(now, home, sim::trace_kind::instance_activated,
-                g.name() + "#" + std::to_string(k));
+  if (trace_.enabled())
+    trace_.record(now, home, sim::trace_kind::instance_activated,
+                  g.name() + "#" + std::to_string(k));
 
   // Charge c_inv_start in kernel context on the home node, then create the
   // shards on every involved node (they share the activation date `now`):
   // the home's own shard directly, remote nodes by create_shard token —
   // the only cross-node effect is a message, so worker threads never call
   // into a foreign dispatcher.
-  const auto start_shards = [this, t, k, now, home,
-                             procs = std::move(procs)] {
+  const auto start_shards = [this, t, k, now, home] {
+    const task_graph& g = *graphs_.at(t);
     cpu(home).post_interrupt(
-        "inv_start:" + graphs_.at(t)->name(), cfg_.costs.c_inv_start,
-        [this, t, k, now, home, procs] {
+        [&g] { return "inv_start:" + g.name(); }, cfg_.costs.c_inv_start,
+        [this, t, k, now, home] {
           auto it = graphs_.find(t);
           if (it == graphs_.end()) return;
           if (!instance_live(t, k)) return;  // aborted before start
-          for (node_id n : procs) {
+          for (node_id n : involved_nodes(*it->second)) {
             if (n == home) {
               if (!disp(n).halted()) disp(n).create_shard(*it->second, k, now);
             } else {
@@ -332,8 +332,10 @@ void system::finish_instance(task_id t, instance_number k) {
   auto& st = task_stats_[t];
   ++st.completions;
   st.response_times.add(rt_->now() - rec.activation);
-  trace_.record(rt_->now(), g.home_node(), sim::trace_kind::instance_completed,
-                g.name() + "#" + std::to_string(k));
+  if (trace_.enabled())
+    trace_.record(rt_->now(), g.home_node(),
+                  sim::trace_kind::instance_completed,
+                  g.name() + "#" + std::to_string(k));
   if (const auto& retire = disp(g.home_node()).retire_hook())
     retire(t, k, rec.activation, rt_->now(), /*completed=*/true);
 
@@ -341,7 +343,7 @@ void system::finish_instance(task_id t, instance_number k) {
   // any) resumes after the handler.
   const node_id home = g.home_node();
   cpu(home).post_interrupt(
-      "inv_end:" + g.name(), cfg_.costs.c_inv_end,
+      [&g] { return "inv_end:" + g.name(); }, cfg_.costs.c_inv_end,
       [this, home, waiter = rec.sync_waiter] {
         if (waiter.has_value()) deliver_sync_return(home, *waiter);
       });
@@ -380,9 +382,7 @@ void system::abort_instance(task_id t, instance_number k,
 
   const task_graph& g = *graphs_.at(t);
   const node_id home = g.home_node();
-  auto procs = g.processors();
-  if (procs.empty()) procs.push_back(home);
-  for (node_id n : procs) {
+  for (node_id n : involved_nodes(g)) {
     if (n == home) {
       if (!disp(n).halted()) disp(n).abort_shard(t, k, reason);
     } else {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,6 +205,13 @@ class system {
   }
 
  private:
+  /// Nodes holding a shard of every instance of `g`: its processors, or the
+  /// home alone for a graph made only of Inv_EUs.
+  static std::span<const node_id> involved_nodes(const task_graph& g) {
+    if (!g.processors().empty()) return g.processors();
+    return {&g.home_, 1};
+  }
+
   struct node_ctx {
     std::unique_ptr<processor> cpu;
     std::unique_ptr<net_task> net;

@@ -10,13 +10,6 @@ std::string task_graph::eu_name(eu_index i) const {
   return std::get<inv_eu>(eus_.at(i)).name;
 }
 
-std::vector<node_id> task_graph::processors() const {
-  std::set<node_id> set;
-  for (const auto& eu : eus_)
-    if (const auto* c = std::get_if<code_eu>(&eu)) set.insert(c->processor);
-  return {set.begin(), set.end()};
-}
-
 bool task_graph::is_remote(const precedence& p) const {
   const auto* a = as_code(p.from);
   const auto* b = as_code(p.to);
@@ -120,6 +113,11 @@ task_graph task_builder::build() {
   validate(order.size() == n,
            "task '" + graph_.name_ + "' has a precedence cycle (HEUGs are DAGs)");
   graph_.topo_ = std::move(order);
+
+  std::set<node_id> procs;
+  for (const auto& eu : graph_.eus_)
+    if (const auto* c = std::get_if<code_eu>(&eu)) procs.insert(c->processor);
+  graph_.procs_.assign(procs.begin(), procs.end());
 
   // Home node: processor of the first Code_EU in topological order.
   graph_.home_ = 0;

@@ -146,8 +146,11 @@ class task_graph {
   /// Instance bookkeeping (activation, deadline monitoring) lives there.
   [[nodiscard]] node_id home_node() const { return home_; }
 
-  /// Distinct processors referenced by this task's Code_EUs.
-  [[nodiscard]] std::vector<node_id> processors() const;
+  /// Distinct processors referenced by this task's Code_EUs, ascending.
+  /// Computed once by `task_builder::build`; every activation reads it.
+  [[nodiscard]] const std::vector<node_id>& processors() const {
+    return procs_;
+  }
 
   /// True when the precedence crosses processors (remote constraint).
   [[nodiscard]] bool is_remote(const precedence& p) const;
@@ -181,6 +184,7 @@ class task_graph {
   std::vector<std::vector<eu_index>> preds_;
   std::vector<std::vector<eu_index>> succs_;
   std::vector<eu_index> topo_;
+  std::vector<node_id> procs_;
   node_id home_ = 0;
 };
 

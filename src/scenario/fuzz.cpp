@@ -327,8 +327,9 @@ fuzz_case generate_case(std::uint64_t campaign_seed, std::uint64_t index) {
 
   const std::vector<std::string> bad =
       s.p.validate(s.nodes, time_point::at(s.horizon));
-  require(bad.empty(), "generate_case: inadmissible plan " + s.name +
-                           (bad.empty() ? "" : ": " + bad.front()));
+  require(bad.empty(), [&] {
+    return "generate_case: inadmissible plan " + s.name + ": " + bad.front();
+  });
   return c;
 }
 

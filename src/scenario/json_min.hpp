@@ -37,7 +37,9 @@ struct value {
   /// missing field, not segfault three calls later.
   [[nodiscard]] const value& at(std::string_view key) const {
     const value* v = find(key);
-    require(v != nullptr, "json: missing member \"" + std::string(key) + '"');
+    require(v != nullptr, [key] {
+      return "json: missing member \"" + std::string(key) + '"';
+    });
     return *v;
   }
   [[nodiscard]] std::int64_t as_int() const {

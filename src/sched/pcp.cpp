@@ -28,7 +28,7 @@ priority pcp_policy::task_priority(task_id t) const {
 }
 
 priority pcp_policy::ceiling_of(
-    const std::vector<core::resource_claim>& claims) const {
+    std::span<const core::resource_claim> claims) const {
   priority c = prio::idle;
   for (const auto& claim : claims) {
     auto it = ceiling_.find(claim.res);
@@ -63,7 +63,8 @@ void pcp_policy::handle(const core::notification& n,
       }
       // Blocked on the ceiling: hold the requester; the highest-ceiling
       // holder inherits its priority (priority-inheritance rule of PCP).
-      blocked_.push_back({n.thread, p, n.info.resources});
+      blocked_.push_back(
+          {n.thread, p, {n.info.resources.begin(), n.info.resources.end()}});
       for (auto& [t, h] : holders_) {
         if (h.ceiling == c && p > h.base) {
           ctx.set_priority(t, p);

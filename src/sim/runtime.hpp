@@ -135,11 +135,9 @@ class runtime {
                         std::function<void()> fn,
                         time_point until = time_point::infinity()) {
     if (first >= until || period.is_infinite()) return;
-    at_node(n, first, [this, n, first, period, until,
-                       fn = std::move(fn)]() mutable {
-      fn();
-      periodic_at_node(n, first + period, period, std::move(fn), until);
-    });
+    periodic_link(n, first, period,
+                  std::make_shared<std::function<void()>>(std::move(fn)),
+                  until);
   }
 
   /// Cancel a previously scheduled event. Safe with invalid_event, with an
@@ -207,6 +205,21 @@ class runtime {
   [[nodiscard]] virtual bool empty() const = 0;
   [[nodiscard]] virtual std::size_t pending() const = 0;
   [[nodiscard]] virtual std::uint64_t executed() const = 0;
+
+ private:
+  /// One link of a `periodic_at_node` chain. The callable is allocated once
+  /// per chain and shared by pointer, so each link's closure fits the event
+  /// core's inline buffer and a firing allocates nothing.
+  void periodic_link(node_id n, time_point first, duration period,
+                     std::shared_ptr<std::function<void()>> fn,
+                     time_point until) {
+    if (first >= until) return;
+    at_node(n, first, [this, n, first, period, until,
+                       fn = std::move(fn)]() mutable {
+      (*fn)();
+      periodic_link(n, first + period, period, std::move(fn), until);
+    });
+  }
 
  protected:
   runtime() = default;

@@ -8,6 +8,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace hades {
 
@@ -30,6 +32,14 @@ inline void require(bool condition, const char* message) {
 }
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw invariant_violation(message);
+}
+/// Lazy-message form: `make_message()` builds the text only when the check
+/// fails, so a formatted message (names, ids) costs nothing when it holds.
+/// Hot paths must use this form instead of concatenating a message eagerly.
+template <typename F>
+  requires std::is_invocable_r_v<std::string, F&>
+inline void require(bool condition, F&& make_message) {
+  if (!condition) throw invariant_violation(make_message());
 }
 
 /// Configuration validation helper: throws hades::error on failure.

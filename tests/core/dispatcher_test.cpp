@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
+#include "sched/edf.hpp"
 
 namespace hades::core {
 namespace {
@@ -135,6 +136,38 @@ TEST(DispatcherTest, RemotePrecedenceCrossesTheNetwork) {
   // back to the home node; zero protocol/interrupt costs.
   EXPECT_DOUBLE_EQ(sys.stats_for(t).response_times.max(), 2e6 + 20e3);
   EXPECT_GE(sys.network().stats().delivered, 2u);
+}
+
+// Trace text is formatted only while the trace records; when it does, the
+// kernel, dispatcher and activation subjects keep their exact text.
+TEST(DispatcherTest, TraceSubjectsCarryKernelText) {
+  system sys(2, zero_cost());
+  sys.attach_policy(0, std::make_shared<sched::edf_policy>());
+  task_builder b("dist");
+  b.deadline(100_ms);
+  const auto a = b.add_code_eu("a", 0, 1_ms);
+  const auto c = b.add_code_eu("c", 1, 1_ms);
+  b.precede(a, c, 64);
+  const auto t = sys.register_task(b.build());
+  sys.activate(t);
+  sys.run_for(50_ms);
+  ASSERT_EQ(sys.stats_for(t).completions, 1u);
+
+  const auto& tr = sys.trace();
+  EXPECT_FALSE(tr.for_subject("nic@1").empty());  // precedence token in
+  EXPECT_FALSE(tr.for_subject("nic@0").empty());  // shard completion back
+  EXPECT_EQ(tr.for_subject("inv_start:dist").size(), 1u);
+  EXPECT_EQ(tr.for_subject("inv_end:dist").size(), 1u);
+  EXPECT_EQ(tr.for_subject("dist#0").size(), 2u);  // activated, completed
+
+  std::vector<std::string> notes;
+  for (const auto& e : tr.for_subject("a#0"))
+    if (e.kind == sim::trace_kind::notification) notes.push_back(e.detail);
+  EXPECT_EQ(notes, (std::vector<std::string>{"Atv", "Trm"}));
+  const auto prio = tr.of_kind(sim::trace_kind::priority_change);
+  ASSERT_FALSE(prio.empty());
+  EXPECT_EQ(prio.front().subject, "a#0");
+  EXPECT_FALSE(prio.front().detail.empty());
 }
 
 TEST(DispatcherTest, ConditionVariableGatesStart) {

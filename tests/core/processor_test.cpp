@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -351,6 +353,58 @@ TEST(ProcessorTest, TraceRecordsLifecycle) {
   EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_runnable).size(), 1u);
   EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_running).size(), 1u);
   EXPECT_EQ(f.trace.of_kind(sim::trace_kind::thread_done).size(), 1u);
+}
+
+// Check messages are formatted lazily, but a failing check still says what
+// failed.
+std::string failure_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const invariant_violation& e) {
+    return e.what();
+  }
+  return "(no throw)";
+}
+
+TEST(ProcessorTest, UnknownThreadMessageNamesTheId) {
+  fixture f;
+  EXPECT_NE(failure_of([&] { (void)f.cpu.executed(kthread_id{999}); })
+                .find("unknown thread #999"),
+            std::string::npos);
+  EXPECT_NE(failure_of([&] { f.cpu.set_priority(kthread_id{4242}, 3); })
+                .find("unknown thread #4242"),
+            std::string::npos);
+}
+
+TEST(ProcessorTest, MakeRunnableTwiceMessageNamesTheThread) {
+  fixture f;
+  auto t = f.cpu.create("sensor_reader", 5, 5, 1_ms, nullptr);
+  f.cpu.make_runnable(t);
+  const std::string what = failure_of([&] { f.cpu.make_runnable(t); });
+  EXPECT_NE(what.find("thread 'sensor_reader' is not suspended"),
+            std::string::npos)
+      << what;
+}
+
+TEST(ProcessorTest, InterruptLabelFormattedOnlyWhileTracing) {
+  fixture f;
+  int formatted = 0;
+  const auto label = [&] {
+    ++formatted;
+    return std::string("nic@7");
+  };
+  f.cpu.post_interrupt(label, 10_us, nullptr);
+  f.eng.run();
+  EXPECT_EQ(formatted, 1);
+  const auto irq = f.trace.for_subject("nic@7");
+  ASSERT_EQ(irq.size(), 1u);
+  EXPECT_EQ(irq[0].detail, "interrupt");
+
+  f.trace.enable(false);
+  f.cpu.post_interrupt(label, 10_us, nullptr);
+  f.eng.run();
+  EXPECT_EQ(formatted, 1);
+  EXPECT_EQ(f.cpu.stats().interrupts, 2u);
 }
 
 }  // namespace
