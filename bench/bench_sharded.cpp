@@ -23,8 +23,8 @@
 // hardware has that many threads, with shards scaled to the worker count.
 // The observable checksum must be identical across the single-engine run,
 // serial rounds, and every curve point; wall-clock speedup is reported
-// against the 4-shard serial baseline, and each point reports the SPSC
-// outbox traffic (cross events, ring spills, sort-skipped drains).
+// against the 4-shard serial baseline, and each point reports the outbox
+// traffic (cross events, outbox growths, sort-skipped drains).
 //
 // A third, *scale-curve* workload measures how the full system scales in
 // node count (DESIGN.md, "Scalable topology layer"): hierarchical fault
@@ -160,8 +160,8 @@ struct bench_result {
   std::uint64_t checksum = 0;
   double balance = 1.0;        // max/mean per-shard events
   double critical_path = 1.0;  // total/max per-shard events
-  std::uint64_t cross = 0;     // events routed through an SPSC outbox ring
-  std::uint64_t spilled = 0;   // ring overflows (barrier-ordered fallback)
+  std::uint64_t cross = 0;     // events routed through a cross-shard outbox
+  std::uint64_t spilled = 0;   // pushes that grew their outbox (allocations)
   std::uint64_t single_source_drains = 0;  // merges that skipped the sort
 };
 
@@ -547,7 +547,7 @@ int main(int argc, char** argv) {
     std::printf(
         "  %zu shard(s) %zu worker(s): %9.0f ev/s  (%7llu events, %.3fs)  "
         "wall speedup %.2fx  balance %.2f  critical-path %.2fx  "
-        "cross %llu (spilled %llu, sort-skipped drains %llu)\n",
+        "cross %llu (outbox growths %llu, sort-skipped drains %llu)\n",
         shards, workers, static_cast<double>(r.events) / r.wall_s,
         static_cast<unsigned long long>(r.events), r.wall_s, speedup,
         r.balance, r.critical_path, static_cast<unsigned long long>(r.cross),
@@ -630,7 +630,7 @@ int main(int argc, char** argv) {
     if (c.shards > 0 && c.workers > 0)
       std::printf("  wall speedup vs serial rounds %.2fx", speedup);
     if (c.shards > 0)
-      std::printf("  cross %llu (spilled %llu, sort-skipped drains %llu)",
+      std::printf("  cross %llu (outbox growths %llu, sort-skipped drains %llu)",
                   static_cast<unsigned long long>(r.cross),
                   static_cast<unsigned long long>(r.spilled),
                   static_cast<unsigned long long>(r.single_source_drains));

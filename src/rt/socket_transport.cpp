@@ -9,11 +9,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <queue>
 #include <set>
 #include <string>
 #include <thread>
@@ -100,16 +98,12 @@ struct link_state {
   std::set<std::uint64_t> lost;
 };
 
-struct delayed_send {
-  steady::time_point due;
-  std::uint32_t dest_proc;
-  std::vector<std::byte> bytes;
-  bool operator>(const delayed_send& o) const { return due > o.due; }
-};
-
 }  // namespace
 
-struct socket_transport::impl {
+// Shared so that a delayed send still pending in the engine when the
+// transport goes away holds only a weak reference (see on_submit).
+struct socket_transport::impl
+    : std::enable_shared_from_this<socket_transport::impl> {
   socket_transport_params p;
   hades::runtime* rt;
   sim::network* net;
@@ -117,7 +111,6 @@ struct socket_transport::impl {
 
   int fd = -1;
   std::thread receiver;
-  std::thread delayer;
   std::atomic<bool> running{false};
   bool started = false;
 
@@ -132,11 +125,6 @@ struct socket_transport::impl {
   std::map<std::pair<node_id, node_id>, link_state> links;
   rng draws;
   stats_t st;
-
-  std::condition_variable delay_cv;
-  std::priority_queue<delayed_send, std::vector<delayed_send>,
-                      std::greater<delayed_send>>
-      delay_q;
 
   explicit impl(socket_transport_params params) : p(std::move(params)), draws(p.seed) {
     // The realtime engine's placement rule, so both agree on every owner.
@@ -223,11 +211,16 @@ struct socket_transport::impl {
       if (extra_ns > 0) ++st.delayed;
     }
     if (extra_ns > 0) {
-      const auto real_extra = std::chrono::nanoseconds(static_cast<std::int64_t>(
-          static_cast<double>(extra_ns) * p.time_scale));
-      std::lock_guard lk(mu);
-      delay_q.push({steady::now() + real_extra, dest_proc, std::move(buf)});
-      delay_cv.notify_one();
+      // An engine timer at the send date + extra (the engine maps it to
+      // real time). It holds a weak reference and sends only while the
+      // socket is open: a stopped or destroyed transport is never touched.
+      rt->at(m.sent_at + duration::nanoseconds(extra_ns),
+             [self = weak_from_this(), dest_proc, buf = std::move(buf)] {
+               const auto i = self.lock();
+               if (i == nullptr) return;
+               std::lock_guard lk(i->mu);
+               if (i->fd >= 0) i->send_to(dest_proc, buf.data(), buf.size());
+             });
     } else {
       send_to(dest_proc, buf.data(), buf.size());
     }
@@ -342,8 +335,11 @@ struct socket_transport::impl {
 
   /// Declare datagrams behind an over-age or over-full hold-back window
   /// lost and resume from the oldest held frame (observably an omission).
-  void flush_expired_holdbacks() {
+  /// Returns the receiver's next poll timeout in ms: until the earliest
+  /// remaining hold-back expiry, or -1 (indefinitely) when nothing is held.
+  int flush_expired_holdbacks() {
     std::vector<std::vector<std::byte>> ready;
+    auto next_expiry = steady::time_point::max();
     {
       std::lock_guard lk(mu);
       const auto now = steady::now();
@@ -360,21 +356,25 @@ struct socket_transport::impl {
         const bool expired =
             l.held.size() > max_held ||
             now - l.held.begin()->second.arrived > max_age;
-        if (!expired) continue;
-        ++st.gaps_declared;
-        // Remember the skipped sequences: should one arrive after all (a
-        // delay beyond even the stretched window), it is delivered late
-        // rather than mistaken for a duplicate.
-        for (std::uint64_t s = l.expected; s < l.held.begin()->first; ++s) {
-          if (l.lost.size() >= max_lost_tracked) l.lost.erase(l.lost.begin());
-          l.lost.insert(s);
+        if (expired) {
+          ++st.gaps_declared;
+          // Remember the skipped sequences: should one arrive after all (a
+          // delay beyond even the stretched window), it is delivered late
+          // rather than mistaken for a duplicate.
+          for (std::uint64_t s = l.expected; s < l.held.begin()->first; ++s) {
+            if (l.lost.size() >= max_lost_tracked) l.lost.erase(l.lost.begin());
+            l.lost.insert(s);
+          }
+          l.expected = l.held.begin()->first;
+          while (!l.held.empty() && l.held.begin()->first == l.expected) {
+            ready.push_back(std::move(l.held.begin()->second.bytes));
+            l.held.erase(l.held.begin());
+            ++l.expected;
+          }
         }
-        l.expected = l.held.begin()->first;
-        while (!l.held.empty() && l.held.begin()->first == l.expected) {
-          ready.push_back(std::move(l.held.begin()->second.bytes));
-          l.held.erase(l.held.begin());
-          ++l.expected;
-        }
+        if (!l.held.empty())
+          next_expiry =
+              std::min(next_expiry, l.held.begin()->second.arrived + max_age);
       }
     }
     for (const auto& bytes : ready) {
@@ -382,13 +382,22 @@ struct socket_transport::impl {
       std::memcpy(&rh, bytes.data(), sizeof rh);
       deliver(rh, bytes.data() + sizeof rh);
     }
+    if (next_expiry == steady::time_point::max()) return -1;
+    // Rounded up: waking before the expiry would only spin.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        next_expiry - steady::now());
+    return static_cast<int>(std::max<std::int64_t>(wait.count(), 0));
   }
 
+  /// The receiver thread: sleeps in `poll` until a datagram arrives or the
+  /// earliest hold-back expires. `stop` wakes it by shutting the socket's
+  /// read side, which makes it readable (recvfrom returns 0).
   void receive_loop() {
     std::vector<std::byte> buf(1 << 16);
+    int timeout_ms = -1;
     while (running.load(std::memory_order_relaxed)) {
       pollfd pfd{fd, POLLIN, 0};
-      const int r = ::poll(&pfd, 1, 1 /*ms*/);
+      const int r = ::poll(&pfd, 1, timeout_ms);
       if (r > 0 && (pfd.revents & POLLIN) != 0) {
         for (;;) {
           const ssize_t n =
@@ -398,27 +407,7 @@ struct socket_transport::impl {
           handle_datagram(buf.data(), static_cast<std::size_t>(n));
         }
       }
-      flush_expired_holdbacks();
-    }
-  }
-
-  void delay_loop() {
-    std::unique_lock lk(mu);
-    while (running.load(std::memory_order_relaxed)) {
-      if (delay_q.empty()) {
-        delay_cv.wait_for(lk, std::chrono::milliseconds(50));
-        continue;
-      }
-      const auto due = delay_q.top().due;
-      if (steady::now() < due) {
-        delay_cv.wait_until(lk, due);
-        continue;
-      }
-      delayed_send d = delay_q.top();
-      delay_q.pop();
-      lk.unlock();
-      send_to(d.dest_proc, d.bytes.data(), d.bytes.size());
-      lk.lock();
+      timeout_ms = flush_expired_holdbacks();
     }
   }
 };
@@ -426,7 +415,7 @@ struct socket_transport::impl {
 socket_transport::socket_transport(hades::runtime& rt, sim::network& net,
                                    core::monitor& mon,
                                    socket_transport_params p)
-    : impl_(std::make_unique<impl>(std::move(p))) {
+    : impl_(std::make_shared<impl>(std::move(p))) {
   impl_->rt = &rt;
   impl_->net = &net;
   impl_->mon = &mon;
@@ -451,13 +440,16 @@ void socket_transport::start() {
   addr.sin_port =
       htons(static_cast<std::uint16_t>(i.p.base_port + i.p.process_index));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  validate(::bind(i.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
-           "socket_transport: bind(port " +
-               std::to_string(i.p.base_port + i.p.process_index) +
-               ") failed: " + std::string(std::strerror(errno)));
+  if (::bind(i.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    const int err = errno;
+    ::close(i.fd);  // not started: neither stop() nor the destructor closes it
+    i.fd = -1;
+    throw error("socket_transport: bind(port " +
+                std::to_string(i.p.base_port + i.p.process_index) +
+                ") failed: " + std::strerror(err));
+  }
   i.running.store(true);
   i.receiver = std::thread([&i] { i.receive_loop(); });
-  i.delayer = std::thread([&i] { i.delay_loop(); });
   i.net->set_remote_hook([&i](const sim::message& m) { return i.on_submit(m); });
   i.mon->set_forwarder(
       [&i](const core::monitor_event& e, node_id home, duration d) {
@@ -472,11 +464,13 @@ void socket_transport::stop() {
   i.net->set_remote_hook(nullptr);
   i.mon->set_forwarder(nullptr);
   i.running.store(false);
-  i.delay_cv.notify_all();
+  (void)::shutdown(i.fd, SHUT_RD);  // wakes the receiver's poll
   if (i.receiver.joinable()) i.receiver.join();
-  if (i.delayer.joinable()) i.delayer.join();
-  ::close(i.fd);
-  i.fd = -1;
+  {
+    std::lock_guard lk(i.mu);  // a delayed send checks the fd under it
+    ::close(i.fd);
+    i.fd = -1;
+  }
   i.started = false;
 }
 

@@ -14,11 +14,16 @@
 // sending side *before* a link sequence number is consumed:
 //   * drop    — src/dst down, partition, or an omission-rate draw: the
 //               frame is never sent, so receivers see no artificial gap;
-//   * delay   — a performance-fault draw holds the frame in a timed sender
-//               queue for the configured extra duration (which also yields
-//               reordering, as later undelayed frames overtake it); the
-//               intentional delay rides the frame header so the receiver's
-//               Δ check does not count it against the network.
+//   * delay   — a performance-fault draw sends the frame from an engine
+//               timer at its send date plus the configured extra duration
+//               (which also yields reordering, as later undelayed frames
+//               overtake it); the intentional delay rides the frame header
+//               so the receiver's Δ check does not count it against the
+//               network.
+// Each transport adds one thread, the receiver; it sleeps in `poll` until a
+// datagram arrives or the earliest hold-back expires. Sending (immediate or
+// delayed) happens on whichever thread runs the engine.
+//
 // Receivers recover per-link FIFO with a sequence hold-back window: a gap
 // (a genuinely lost datagram) is declared lost after a bounded hold and
 // skipped — the same observable outcome as an omission fault, which every
@@ -86,12 +91,14 @@ class socket_transport final : public scenario::fault_injector {
   socket_transport(const socket_transport&) = delete;
   socket_transport& operator=(const socket_transport&) = delete;
 
-  /// Open the socket, start the receiver/delay threads, and install the
-  /// network remote hook + monitor forwarder. Call after every node is
-  /// attached and before the run loop starts.
+  /// Open the socket, start the receiver thread, and install the network
+  /// remote hook + monitor forwarder. Call after every node is attached and
+  /// before the run loop starts. Throws `hades::error` (socket closed
+  /// again) when the port cannot be bound.
   void start();
-  /// Uninstall hooks, stop threads, close the socket. Idempotent; the
-  /// destructor calls it.
+  /// Uninstall hooks, stop the receiver, close the socket. Idempotent; the
+  /// destructor calls it. Delayed frames still pending in the engine are
+  /// then never sent, even if the engine runs past their date.
   void stop();
 
   // --- scenario::fault_injector (the netem shim) -------------------------
@@ -120,7 +127,7 @@ class socket_transport final : public scenario::fault_injector {
 
  private:
   struct impl;
-  std::unique_ptr<impl> impl_;
+  std::shared_ptr<impl> impl_;  // pending delayed sends hold weak refs
 };
 
 }  // namespace hades::rt

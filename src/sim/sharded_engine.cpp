@@ -27,16 +27,10 @@ sharded_engine::sharded_engine(sharded_params p)
            "sharded_engine: lookahead must be finite and >= 1ns");
   for (std::uint32_t s : node_shard_)
     validate(s < p.shards, "sharded_engine: node mapped to unknown shard");
-  // Ring capacity trades memory (shards^2 rings) against spill frequency;
-  // overflow degrades to the barrier-ordered spill vector, never breaks.
-  const std::size_t ring_cap =
-      p.shards <= 8 ? 512 : p.shards <= 16 ? 128 : 64;
   shards_.reserve(p.shards);
   for (std::size_t s = 0; s < p.shards; ++s) {
     shards_.push_back(std::make_unique<shard>());
-    shards_.back()->outbox = std::make_unique<spsc_ring[]>(p.shards);
-    for (std::size_t t = 0; t < p.shards; ++t)
-      shards_.back()->outbox[t].slots.resize(ring_cap);
+    shards_.back()->outbox.resize(p.shards);
   }
   const std::size_t workers = std::min(p.workers, p.shards);
   workers_.reserve(workers);
@@ -92,14 +86,16 @@ event_id sharded_engine::at_node(node_id dst, time_point t, event_fn fn) {
   const std::uint32_t target = shard_of(dst);
   if (!in_callback() || target == current_shard())
     return tag(target, shards_[target]->core.at(t, std::move(fn)));
-  // Cross-shard: push onto the origin's per-target SPSC ring (lock-free;
-  // see drain_outboxes for the consumer side). The lookahead requirement
-  // is what makes the conservative horizon sound — an event below the
-  // horizon can only create work at or beyond it.
+  // Cross-shard: append to the origin's outbox for the target (owner-only;
+  // see drain_outboxes for the other side). The lookahead requirement is
+  // what makes the conservative horizon sound — an event below the horizon
+  // can only create work at or beyond it.
   shard& from = *shards_[current_shard()];
   require(t >= from.core.now() + lookahead_,
           "sharded_engine::at_node: cross-shard event below the lookahead");
-  from.outbox[target].push(
+  std::vector<cross_event>& box = from.outbox[target];
+  if (box.size() == box.capacity()) ++from.grown;
+  box.push_back(
       cross_event{t, current_shard(), from.xmit_seq++, std::move(fn)});
   return invalid_event;  // cross-shard events are fire-and-forget
 }
@@ -136,36 +132,27 @@ void sharded_engine::commit(event_batch& b) {
 
 // --- conservative rounds -----------------------------------------------------
 
-// Round-boundary injection. Ring contents are published by the producers'
-// release-stores of `tail` and consumed here through acquire-loads — the
-// hand-off no longer leans on the round barrier's mutex (spill vectors
-// still do, by construction). Each target merges the per-origin batches
-// destined for it, sorted by the deterministic key; a drain fed by a
-// single origin skips the sort — ring+spill order is already origin-seq
-// order, which is the stable order the sort would produce for same-instant
-// events, and the target core's heap orders distinct instants anyway.
+// Round-boundary injection, on the coordinating thread between rounds. The
+// round barrier orders every outbox write before this read: a worker's
+// pushes precede its `pool_mu_`-guarded completion, which the coordinator
+// waits on, and the next round's ticket is published under the same mutex
+// after the drain (serial rounds share one thread). Each target merges the
+// per-origin batches destined for it, sorted by the deterministic key; a
+// drain fed by a single origin skips the sort — outbox order is already
+// origin-seq order, which is the stable order the sort would produce for
+// same-instant events, and the target core's heap orders distinct instants
+// anyway. Clearing keeps each outbox's capacity for the next round.
 void sharded_engine::drain_outboxes() {
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     shard& sh = *shards_[s];
     drain_scratch_.clear();
     std::size_t sources = 0;
     for (auto& from : shards_) {
-      spsc_ring& ring = from->outbox[s];
-      const std::uint64_t tail = ring.tail.load(std::memory_order_acquire);
-      std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-      if (head == tail && ring.spill.empty()) continue;
+      std::vector<cross_event>& box = from->outbox[s];
+      if (box.empty()) continue;
       ++sources;
-      for (; head != tail; ++head)
-        drain_scratch_.push_back(
-            std::move(ring.slots[head % ring.slots.size()]));
-      ring.head.store(head, std::memory_order_release);
-      if (!ring.spill.empty()) {
-        // The spill continues the ring: once a push spills, every later
-        // push of the round spills too, so seq order is preserved.
-        std::move(ring.spill.begin(), ring.spill.end(),
-                  std::back_inserter(drain_scratch_));
-        ring.spill.clear();
-      }
+      std::move(box.begin(), box.end(), std::back_inserter(drain_scratch_));
+      box.clear();
     }
     if (drain_scratch_.empty()) continue;
     if (sources > 1) {
@@ -299,13 +286,8 @@ bool sharded_engine::empty() const {
   // event execution (between rounds), where producers are quiescent.
   for (const auto& sp : shards_) {
     if (!sp->core.empty()) return false;
-    for (std::size_t t = 0; t < shards_.size(); ++t) {
-      const spsc_ring& ring = sp->outbox[t];
-      if (ring.tail.load(std::memory_order_acquire) !=
-              ring.head.load(std::memory_order_acquire) ||
-          !ring.spill.empty())
-        return false;
-    }
+    for (const auto& box : sp->outbox)
+      if (!box.empty()) return false;
   }
   return true;
 }
@@ -314,13 +296,7 @@ std::size_t sharded_engine::pending() const {
   std::size_t n = 0;
   for (const auto& sp : shards_) {
     n += sp->core.pending();
-    for (std::size_t t = 0; t < shards_.size(); ++t) {
-      const spsc_ring& ring = sp->outbox[t];
-      n += static_cast<std::size_t>(
-          ring.tail.load(std::memory_order_acquire) -
-          ring.head.load(std::memory_order_acquire));
-      n += ring.spill.size();
-    }
+    for (const auto& box : sp->outbox) n += box.size();
   }
   return n;
 }
@@ -339,8 +315,7 @@ sharded_engine::shard_stats sharded_engine::stats() const {
   st.executed_per_shard.reserve(shards_.size());
   for (const auto& sp : shards_) {
     st.executed_per_shard.push_back(sp->ran);
-    for (std::size_t t = 0; t < shards_.size(); ++t)
-      st.spilled += sp->outbox[t].spilled;
+    st.spilled += sp->grown;
   }
   return st;
 }

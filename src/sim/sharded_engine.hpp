@@ -12,23 +12,21 @@
 // (`workers == 0`, always safe) or concurrently on a worker pool
 // (`workers > 0`, requires shard-confined event handlers).
 //
-// Cross-shard events (`at_node` targeting a foreign shard) are pushed onto
-// a bounded lock-free SPSC ring, one per (origin, target) pair: the origin
-// shard's thread is the sole producer, the draining thread the sole
-// consumer, and the hand-off is a release-store of the producer cursor
-// matched by an acquire-load in the drain — the transfer no longer relies
-// on the round barrier's mutex for visibility. Ring overflow spills to an
-// owner-only vector that the barrier still orders, so correctness never
-// depends on capacity. Drained events are injected into the target cores
-// at the round boundary sorted by the deterministic key {time, origin
-// shard, origin sequence} — so the merged execution trace is independent
-// of thread interleaving and, for workloads whose same-instant events are
-// shard-local, identical to the single-engine run (see DESIGN.md for the
-// exact determinism argument). When a single origin contributed to a
-// target, the sort is skipped: within one ring, same-instant events are
-// already in sequence order, which is exactly the stable order the sort
-// would produce, and distinct-instant events are ordered by the target
-// core's heap regardless of injection order.
+// Cross-shard events (`at_node` targeting a foreign shard) are appended to
+// a plain outbox vector, one per (origin, target) pair. Only the thread
+// executing the origin shard writes it during a round; the coordinator
+// drains it between rounds. The round barrier (the `pool_mu_` hand-off that
+// ends every round and starts the next) already orders both sides, so the
+// outbox needs no atomics and no capacity bound. Drained events are
+// injected into the target cores at the round boundary sorted by the
+// deterministic key {time, origin shard, origin sequence} — so the merged
+// execution trace is independent of thread interleaving and, for workloads
+// whose same-instant events are shard-local, identical to the single-engine
+// run (see DESIGN.md for the exact determinism argument). When a single
+// origin contributed to a target, the sort is skipped: within one outbox,
+// same-instant events are already in sequence order, which is exactly the
+// stable order the sort would produce, and distinct-instant events are
+// ordered by the target core's heap regardless of injection order.
 //
 // Contract deviations from the single engine, all confined to cross-shard
 // use: `at_node` across shards requires `t >= now() + lookahead`, returns
@@ -37,7 +35,6 @@
 // workers are enabled.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -95,8 +92,9 @@ class sharded_engine final : public runtime {
   struct shard_stats {
     std::uint64_t rounds = 0;        // conservative synchronization windows
     std::uint64_t cross_events = 0;  // events routed through an outbox
-    /// Cross-events that overflowed their SPSC ring into the spill vector
-    /// (still correct, but the hand-off fell back to barrier ordering).
+    /// Cross-event pushes that had to grow their outbox — the only time the
+    /// hand-off allocates. Drains keep each outbox's capacity, so this
+    /// stops rising once every (origin, target) pair has seen its peak.
     std::uint64_t spilled = 0;
     /// Target drains where exactly one origin contributed, letting the
     /// deterministic merge skip its sort (see drain_outboxes).
@@ -119,41 +117,15 @@ class sharded_engine final : public runtime {
     event_fn fn;
   };
 
-  // Bounded lock-free SPSC ring. Producer: the single thread executing the
-  // origin shard (push). Consumer: the draining thread (drain_outboxes).
-  // `tail` is release-published after the slot write and acquire-read by
-  // the consumer; `head` release-published after consumption and
-  // acquire-read by the producer's full check — classic two-cursor SPSC.
-  // A full ring spills to `spill`, which only the producer touches during
-  // a round and the round barrier hands off, so overflow degrades the
-  // fast path, never correctness. Within one ring (and the spill continuing
-  // it) events are in strictly increasing origin-seq order.
-  struct spsc_ring {
-    std::vector<cross_event> slots;
-    std::atomic<std::uint64_t> head{0};  // consumer cursor
-    std::atomic<std::uint64_t> tail{0};  // producer cursor
-    std::vector<cross_event> spill;      // producer-only overflow
-    std::uint64_t spilled = 0;           // producer-only counter
-
-    void push(cross_event&& ce) {
-      const std::uint64_t t = tail.load(std::memory_order_relaxed);
-      if (t - head.load(std::memory_order_acquire) < slots.size()) {
-        slots[t % slots.size()] = std::move(ce);
-        tail.store(t + 1, std::memory_order_release);
-      } else {
-        spill.push_back(std::move(ce));
-        ++spilled;
-      }
-    }
-  };
-
   struct shard {
     engine core;
     std::uint64_t xmit_seq = 0;  // outgoing cross-event counter (owner-only)
     std::uint64_t ran = 0;       // events executed (owner-only during rounds)
-    // Outgoing cross-shard events: one SPSC ring per target shard (see
-    // spsc_ring). Non-movable because of the atomics, hence the flat array.
-    std::unique_ptr<spsc_ring[]> outbox;
+    std::uint64_t grown = 0;     // outbox growths (owner-only during rounds)
+    // Outgoing cross-shard events, indexed by target shard, in origin-seq
+    // order. Written by this shard's executing thread during a round,
+    // drained by the coordinator between rounds (see drain_outboxes).
+    std::vector<std::vector<cross_event>> outbox;
   };
 
   // Shard ids are the inner engine's {slot+1, gen} id tagged with the shard

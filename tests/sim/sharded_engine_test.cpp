@@ -205,6 +205,57 @@ TEST(ShardedEngineTest, CrossShardBelowLookaheadIsRejected) {
   EXPECT_TRUE(threw);
 }
 
+// A large cross-shard burst: the origin shards 1, 2 and 3 each send 1,500
+// same-instant events to node 0 (shard 0) in one round. Returns the
+// (origin shard, index) firing order at node 0.
+constexpr int kBurst = 1500;
+
+std::vector<std::pair<std::uint32_t, int>> run_burst(sim::sharded_engine& eng,
+                                                     time_point at) {
+  std::vector<std::pair<std::uint32_t, int>> fired;
+  for (const node_id origin : {node_id{8}, node_id{16}, node_id{24}}) {
+    eng.at_node(origin, at, [&eng, &fired, origin] {
+      const std::uint32_t from = eng.shard_of(origin);
+      for (int k = 0; k < kBurst; ++k)
+        eng.at_node(0, eng.now() + kLookahead,
+                    [&fired, from, k] { fired.emplace_back(from, k); });
+    });
+  }
+  eng.run();
+  return fired;
+}
+
+/// How many of `n` push_backs onto an empty vector reallocate it.
+std::uint64_t growths(int n) {
+  std::vector<int> v;
+  std::uint64_t g = 0;
+  for (int i = 0; i < n; ++i) {
+    if (v.size() == v.capacity()) ++g;
+    v.push_back(i);
+  }
+  return g;
+}
+
+TEST(ShardedEngineTest, CrossShardBurstKeepsMergeOrderAndOutboxCapacity) {
+  // The deterministic merge key {t, origin shard, origin seq}.
+  std::vector<std::pair<std::uint32_t, int>> expected;
+  for (std::uint32_t from = 1; from <= 3; ++from)
+    for (int k = 0; k < kBurst; ++k) expected.emplace_back(from, k);
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+    sim::sharded_engine eng(make_params(4, workers));
+    EXPECT_EQ(run_burst(eng, time_point::at(1_us)), expected)
+        << "workers " << workers;
+    const std::uint64_t grown = eng.stats().spilled;
+    EXPECT_EQ(grown, 3 * growths(kBurst)) << "workers " << workers;
+    // Drains keep each outbox's capacity: an identical burst never grows.
+    EXPECT_EQ(run_burst(eng, eng.now() + 1_us), expected)
+        << "workers " << workers;
+    EXPECT_EQ(eng.stats().spilled, grown) << "workers " << workers;
+    EXPECT_EQ(eng.stats().cross_events, 2u * 3 * kBurst);
+  }
+}
+
 // --- full-system equivalence -------------------------------------------------
 //
 // The same HADES deployment (8 nodes, reliable broadcast under load) run on
