@@ -160,8 +160,9 @@ double churn_rate(Engine& e, std::size_t total) {
 }
 
 /// 256 periodic timers ticking for `total` combined firings. The legacy
-/// engine re-arms with a fresh closure per tick; the pooled engine uses its
-/// schedule_periodic primitive (one registration, zero steady-state work).
+/// engine re-arms with a fresh std::function per tick; the pooled engine
+/// runs 256 `periodic_at_node` chains, the periodic primitive every caller
+/// uses (one pooled one-shot link per tick, no heap allocation).
 double legacy_periodic_rate(legacy_engine& e, std::size_t total) {
   std::uint64_t fired = 0;
   std::function<void(int)> arm = [&](int k) {
@@ -182,9 +183,10 @@ double legacy_periodic_rate(legacy_engine& e, std::size_t total) {
 double pooled_periodic_rate(sim::engine& e, std::size_t total) {
   std::uint64_t fired = 0;
   for (int k = 0; k < 256; ++k)
-    e.schedule_periodic(e.now() + duration::microseconds(1 + k % 17),
-                        duration::microseconds(1 + k % 17),
-                        [&fired] { ++fired; });
+    e.periodic_at_node(static_cast<node_id>(k),
+                       e.now() + duration::microseconds(1 + k % 17),
+                       duration::microseconds(1 + k % 17),
+                       [&fired] { ++fired; });
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t n = 0;
   while (n < total && e.step()) ++n;

@@ -201,14 +201,12 @@ struct node_driver {
 
 bench_result run_config(std::size_t shards, std::size_t workers,
                         duration horizon) {
-  sim::sharded_params p;
-  p.shards = shards;
-  p.workers = workers;
-  p.lookahead = kLookahead;
-  p.node_shard.resize(kNodes);
-  for (std::size_t n = 0; n < kNodes; ++n)
-    p.node_shard[n] = static_cast<std::uint32_t>(n * shards / kNodes);
-  sim::sharded_engine eng(p);
+  runtime::options o;
+  o.node_count = kNodes;  // contiguous blocks of nodes per shard
+  o.shards = shards;
+  o.workers = workers;
+  o.lookahead = kLookahead;
+  sim::sharded_engine eng(o);
 
   std::vector<node_state> state(kNodes);
   std::vector<node_driver> drivers(kNodes);

@@ -17,13 +17,12 @@ std::unique_ptr<hades::runtime> system::make_backend(const config& cfg,
     validate(cfg.net.delta_min > duration::zero(),
              "system: the sharded backend needs net.delta_min > 0 (lookahead)");
     o.lookahead = cfg.net.delta_min;  // every cross-node event rides the LAN
-    o.shards = std::min(o.shards, node_count);
   }
-  // Backend policy beyond this translation — worker safety (system state is
-  // shard-confined; every cross-node structural effect rides a wire control
-  // token), the contiguous-blocks default node map — lives with the factory
-  // registrations (src/rt/runtime_factory.cpp), not here: the system names
-  // backends, never concrete types.
+  // Backend policy beyond this translation — the shard-count default and
+  // clamp, the contiguous-blocks default node map — lives in the backends
+  // themselves; worker safety holds because system state is shard-confined
+  // (every cross-node structural effect rides a wire control token). The
+  // system names backends, never concrete types.
   return hades::runtime::make(o);
 }
 

@@ -45,16 +45,15 @@ class system {
     bool reject_arrival_violations = true;
     std::uint64_t seed = 42;
     bool tracing = true;
-    /// Runtime backend selection through the factory registry
-    /// (`hades::runtime::make`; DESIGN.md, "Runtime factory & injector
-    /// API"). The system fills `node_count`, and for the sharded backend
-    /// the lookahead (= net.delta_min, which must then be > 0) and a
-    /// contiguous-blocks default node map; everything else passes through
-    /// untouched, so a realtime multi-process config (epoch, process
-    /// index/count, node->process map) rides here too. The system itself
-    /// never names a concrete backend type. Any `runtime.workers` count is
-    /// safe: the system's state is shard-confined (DESIGN.md, "Shard
-    /// confinement") — per-shard monitor/trace partitions, per-task
+    /// Runtime backend selection by name (`hades::runtime::make`;
+    /// DESIGN.md, "Runtime factory & injector API"). The system fills
+    /// `node_count`, and for the sharded backend the lookahead
+    /// (= net.delta_min, which must then be > 0); everything else passes
+    /// through untouched, so a realtime multi-process config (epoch,
+    /// process index/count, node->process map) rides here too. The system
+    /// itself never names a concrete backend type. Any `runtime.workers`
+    /// count is safe: the system's state is shard-confined (DESIGN.md,
+    /// "Shard confinement") — per-shard monitor/trace partitions, per-task
     /// bookkeeping owned by the task's home shard, per-source network
     /// state, and every cross-node structural effect (shard creation,
     /// invocation activation, condition updates, deadlock probes) rides a

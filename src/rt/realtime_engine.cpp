@@ -16,7 +16,6 @@ namespace hades::rt {
 
 namespace {
 
-using sim::event_batch;
 using sim::event_fn;
 using sim::event_id;
 using sim::invalid_event;
@@ -46,7 +45,8 @@ class realtime_engine final : public hades::runtime {
     if (process_count_ > 1)
       node_process_ = !o.node_shard.empty()
                           ? o.node_shard
-                          : contiguous_blocks(o.node_count, process_count_);
+                          : sim::contiguous_blocks(o.node_count,
+                                                   process_count_);
   }
 
   // --- clock ---------------------------------------------------------------
@@ -75,36 +75,9 @@ class realtime_engine final : public hades::runtime {
     return at(t, std::move(fn));
   }
 
-  event_id schedule_periodic(time_point first, duration period,
-                             event_fn fn) override {
-    std::lock_guard lk(mu_);
-    const event_id id =
-        core_.schedule_periodic(floor_locked(first), period, std::move(fn));
-    cv_.notify_all();
-    return id;
-  }
-
   void cancel(event_id id) override {
     std::lock_guard lk(mu_);
     core_.cancel(id);
-  }
-
-  event_batch open_batch(time_point t) override {
-    std::lock_guard lk(mu_);
-    return core_.open_batch(floor_locked(t));
-  }
-
-  event_id batch_add(event_batch& b, event_fn fn) override {
-    std::lock_guard lk(mu_);
-    return core_.batch_add(b, std::move(fn));
-  }
-
-  void commit(event_batch& b) override {
-    std::lock_guard lk(mu_);
-    // The loop may have fired past the instant since the batch opened.
-    b.t = floor_locked(b.t);
-    core_.commit(b);
-    cv_.notify_all();
   }
 
   // --- topology ------------------------------------------------------------

@@ -21,23 +21,21 @@
 //     still drains every event dated <= t however late the host runs.
 //     Only dates behind the last fired date are raised to it (the core's
 //     clock never runs backwards); FIFO order among equal keys holds.
-//   * every scheduling call (`at`, `cancel`, batches) is thread-safe: a
+//   * every scheduling call (`at`, `at_node`, `cancel`) is thread-safe: a
 //     socket transport's receiver thread injects deliveries while the run
 //     loop executes. The loop holds the engine's mutex, callbacks
 //     included, so a scheduling call from another thread waits for at most
 //     the running callback. Callbacks execute on the thread inside
 //     `run`/`run_until`/`step`, one at a time, and schedule re-entrantly.
 //   * multi-process placement: with `process_count > 1`, `node_shard` maps
-//     each node to an owning process (empty = `contiguous_blocks`).
+//     each node to an owning process (empty = `sim::contiguous_blocks`;
+//     a node past the map's end belongs to process 0).
 //     `shard_of` reports the owner, `at_node` on a foreign node is dropped
 //     (returns `invalid_event`) — the owner runs the equivalent chain; what
 //     must cross processes rides the socket transport, not the scheduler.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "sim/runtime.hpp"
 
@@ -47,20 +45,5 @@ namespace hades::rt {
 /// (epoch_ns, time_scale, process_index/count, node_count, node_shard).
 std::unique_ptr<hades::runtime> make_realtime_engine(
     const hades::runtime::options& o);
-
-/// The default node -> group map every built-in multi-group backend and the
-/// socket transport share: contiguous balanced blocks, node n of
-/// `node_count` in group `n * groups / node_count`. Workloads place
-/// communicating tasks on neighbouring node ids, so blocks minimize
-/// cross-group traffic — and the sharded/realtime backends agree on
-/// placement, which the sim-vs-real harness relies on.
-std::vector<std::uint32_t> contiguous_blocks(std::size_t node_count,
-                                             std::size_t groups);
-
-/// Ensure "sim", "sharded", and "realtime" are registered with
-/// `hades::runtime::make`'s registry. Idempotent; `runtime::make` and
-/// `runtime::registered_backends` call it on first use, so user code only
-/// needs it when registering additional backends *before* the built-ins.
-void register_builtin_backends();
 
 }  // namespace hades::rt

@@ -18,10 +18,10 @@
 #include <utility>
 
 #include "rt/codecs.hpp"
-#include "rt/realtime_engine.hpp"
 #include "sim/wire_codec.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/timeline.hpp"
 
 namespace hades::rt {
 
@@ -51,30 +51,6 @@ struct frame_header {
   std::uint32_t payload_len = 0;
 };
 static_assert(std::is_trivially_copyable_v<frame_header>);
-
-/// Date-keyed state timeline: upper_bound reads, last-write-wins at equal
-/// dates — the same read discipline as `sim::network`'s snapshots, small
-/// and mutex-protected because the socket path is not a hot path.
-template <typename T>
-struct timeline {
-  std::vector<std::pair<std::int64_t, T>> entries;  // sorted by date
-
-  void set(std::int64_t t, T v) {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), t,
-        [](std::int64_t a, const auto& e) { return a < e.first; });
-    if (it != entries.begin() && std::prev(it)->first == t)
-      std::prev(it)->second = std::move(v);
-    else
-      entries.insert(it, {t, std::move(v)});
-  }
-  [[nodiscard]] const T* at(std::int64_t t) const {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), t,
-        [](std::int64_t a, const auto& e) { return a < e.first; });
-    return it == entries.begin() ? nullptr : &std::prev(it)->second;
-  }
-};
 
 struct perf_state {
   double rate = 0.0;
@@ -117,10 +93,12 @@ struct socket_transport::impl
   // Sender-side state (hook runs on the event loop; the shim setters run
   // wherever preregistration happens): one mutex covers it all.
   mutable std::mutex mu;
-  std::vector<timeline<bool>> node_down;           // node-indexed
-  timeline<std::vector<std::uint32_t>> partition;  // node -> group (empty = healed)
-  timeline<double> omission;
-  timeline<perf_state> perf;
+  // Date-keyed fault state, read by the same rule as sim::network's.
+  std::vector<util::timeline<bool>> node_down;  // node-indexed
+  // node -> group (empty = healed)
+  util::timeline<std::vector<std::uint32_t>> partition;
+  util::timeline<double> omission;
+  util::timeline<perf_state> perf;
   std::int64_t max_perf_extra_ns = 0;  // largest registered intentional delay
   std::map<std::pair<node_id, node_id>, link_state> links;
   rng draws;
@@ -129,7 +107,7 @@ struct socket_transport::impl
   explicit impl(socket_transport_params params) : p(std::move(params)), draws(p.seed) {
     // The realtime engine's placement rule, so both agree on every owner.
     if (p.node_process.empty())
-      p.node_process = contiguous_blocks(p.node_count, p.process_count);
+      p.node_process = sim::contiguous_blocks(p.node_count, p.process_count);
   }
 
   [[nodiscard]] std::uint32_t owner_of(node_id n) const {
@@ -137,7 +115,7 @@ struct socket_transport::impl
   }
 
   [[nodiscard]] bool partitioned_locked(node_id a, node_id b,
-                                        std::int64_t t) const {
+                                        time_point t) const {
     const auto* groups = partition.at(t);
     if (groups == nullptr || groups->empty()) return false;
     const auto ga = a < groups->size() ? (*groups)[a] : UINT32_MAX;
@@ -147,7 +125,7 @@ struct socket_transport::impl
     return ga != gb;
   }
 
-  [[nodiscard]] bool down_locked(node_id n, std::int64_t t) const {
+  [[nodiscard]] bool down_locked(node_id n, time_point t) const {
     if (n >= node_down.size()) return false;
     const bool* d = node_down[n].at(t);
     return d != nullptr && *d;
@@ -165,7 +143,7 @@ struct socket_transport::impl
   /// Network remote hook: true = frame consumed (shipped or shim-dropped).
   bool on_submit(const sim::message& m) {
     if (owner_of(m.dst) == p.process_index) return false;  // local: sim LAN
-    const std::int64_t t = m.sent_at.nanoseconds();
+    const time_point t = m.sent_at;
     std::vector<std::byte> buf;
     std::uint32_t dest_proc;
     std::int64_t extra_ns = 0;
@@ -193,7 +171,7 @@ struct socket_transport::impl
       h.dst = m.dst;
       h.channel = m.channel;
       h.link_seq = ++links[{m.src, m.dst}].next_send_seq;
-      h.sent_at_ns = t;
+      h.sent_at_ns = t.nanoseconds();
       h.extra_delay_ns = extra_ns;
       h.msg_id = m.id;
       h.size_bytes = m.size_bytes;
@@ -478,7 +456,7 @@ void socket_transport::set_node_down_at(time_point t, node_id n, bool down) {
   impl& i = *impl_;
   std::lock_guard lk(i.mu);
   if (n >= i.node_down.size()) i.node_down.resize(n + 1);
-  i.node_down[n].set(t.nanoseconds(), down);
+  i.node_down[n].set(t, down);
 }
 
 void socket_transport::partition_at(
@@ -493,26 +471,26 @@ void socket_transport::partition_at(
   for (std::uint32_t gi = 0; gi < groups.size(); ++gi)
     for (node_id n : groups[gi]) member[n] = gi;
   std::lock_guard lk(i.mu);
-  i.partition.set(t.nanoseconds(), std::move(member));
+  i.partition.set(t, std::move(member));
 }
 
 void socket_transport::heal_partition_at(time_point t) {
   impl& i = *impl_;
   std::lock_guard lk(i.mu);
-  i.partition.set(t.nanoseconds(), {});
+  i.partition.set(t, {});
 }
 
 void socket_transport::set_omission_rate_at(time_point t, double p) {
   impl& i = *impl_;
   std::lock_guard lk(i.mu);
-  i.omission.set(t.nanoseconds(), p);
+  i.omission.set(t, p);
 }
 
 void socket_transport::set_performance_fault_at(time_point t, double rate,
                                                 duration extra) {
   impl& i = *impl_;
   std::lock_guard lk(i.mu);
-  i.perf.set(t.nanoseconds(), {rate, extra.count()});
+  i.perf.set(t, {rate, extra.count()});
   if (rate > 0.0)
     i.max_perf_extra_ns = std::max(i.max_perf_extra_ns, extra.count());
 }

@@ -61,7 +61,7 @@ struct socket_transport_params {
   std::uint32_t process_index = 0;
   std::size_t process_count = 1;
   /// node -> owning process (nodes past the end: process 0); empty =
-  /// `rt::contiguous_blocks` over `node_count`, the realtime engine's
+  /// `sim::contiguous_blocks` over `node_count`, the realtime engine's
   /// default map.
   std::vector<std::uint32_t> node_process;
   std::size_t node_count = 0;

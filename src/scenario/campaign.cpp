@@ -68,9 +68,6 @@ void parallel_for(std::size_t n, std::size_t jobs,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // The factory registry's lazy init is the one shared mutable touch
-  // point; force it before the pool spawns.
-  (void)hades::runtime::registered_backends();
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> pool;
   pool.reserve(jobs);

@@ -60,7 +60,6 @@
 // while the backend runs worker threads throws instead of racing.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -75,6 +74,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/sparse_map.hpp"
+#include "util/timeline.hpp"
 #include "util/types.hpp"
 
 namespace hades::sim {
@@ -307,42 +307,6 @@ class network : public scenario::fault_injector {
   static constexpr int any_channel = -1;
 
  private:
-  /// Piecewise-constant value over simulated time: `set` records the value
-  /// taking effect at date t, `at` reads the value in force at date t. All
-  /// reads are order-independent — two shards may execute a mutation and a
-  /// query in either wall order within a round and still agree, because the
-  /// query compares dates, not mutation order. Entries stay sorted by date,
-  /// same-date entries in registration order, and both `set` and `at`
-  /// binary-search (`std::upper_bound`) — `at` returns the *last* entry at
-  /// or before t, so same-date re-registration is last-write-wins.
-  /// (Concurrency of the container itself is the caller's business: the
-  /// globally-read timelines live inside immutable published snapshots, the
-  /// per-source ones are confined to the source's shard.)
-  template <typename T>
-  class timeline {
-   public:
-    void set(time_point t, T v) {
-      entries_.insert(upper_bound(t), {t, std::move(v)});
-    }
-    [[nodiscard]] const T* at(time_point t) const {
-      auto it = upper_bound(t);
-      return it == entries_.begin() ? nullptr : &std::prev(it)->second;
-    }
-    [[nodiscard]] bool empty() const { return entries_.empty(); }
-
-   private:
-    using entry = std::pair<time_point, T>;
-    // Const iterator serves both paths: vector::insert takes one.
-    [[nodiscard]] typename std::vector<entry>::const_iterator upper_bound(
-        time_point t) const {
-      return std::upper_bound(
-          entries_.begin(), entries_.end(), t,
-          [](time_point q, const entry& e) { return q < e.first; });
-    }
-
-    std::vector<entry> entries_;  // sorted by date
-  };
-
   struct perf_fault {
     double rate = 0.0;
     duration extra = duration::zero();
@@ -354,12 +318,12 @@ class network : public scenario::fault_injector {
   /// network destruction, so a reader can never dangle (writes are bounded:
   /// plan pre-registration plus rare runtime re-registrations).
   struct global_state {
-    std::vector<timeline<bool>> node_down;  // node-indexed
+    std::vector<util::timeline<bool>> node_down;  // node-indexed
     // node -> group in force; no_group means unrestricted. Empty vector =
     // no partition.
-    timeline<std::vector<std::uint32_t>> partition;
-    timeline<double> omission_rate;
-    timeline<perf_fault> perf_fault_tl;
+    util::timeline<std::vector<std::uint32_t>> partition;
+    util::timeline<double> omission_rate;
+    util::timeline<perf_fault> perf_fault_tl;
 
     [[nodiscard]] bool node_down_at(node_id n, time_point t) const {
       if (n >= node_down.size()) return false;
@@ -383,7 +347,7 @@ class network : public scenario::fault_injector {
     time_point last_delivery;        // FIFO floor on this link
     double link_omission = -1.0;     // <0 = unset, fall back to global rate
     std::vector<drop_burst> scripted_drops;
-    timeline<bool> link_down;        // src -> dst, dated
+    util::timeline<bool> link_down;  // src -> dst, dated
   };
 
   /// Send-side state of one node, owned by the shard owning the node: only

@@ -2,22 +2,20 @@
 //
 // Every component that schedules work — dispatchers, processors, the
 // net_mngt task, the simulated LAN, and the timer-driven services — programs
-// against this interface instead of a concrete event engine. The discrete-
-// event simulation backend (`sim::engine`) is one implementation; a
-// real-clock backend or a sharded multi-engine backend can be slotted in
-// without touching src/core or src/services. Those layers must include this
-// header only, never `sim/engine.hpp` (enforced by CI and by the
-// `runtime_layer_include_hygiene` ctest; the interface contract itself is
-// covered by tests/sim/runtime_test.cpp).
+// against this interface instead of a concrete event engine. Three backends
+// implement it — the discrete-event `sim::engine`, the sharded
+// multi-engine `sim::sharded_engine` and the wall-clock `rt` engine — and
+// any of them slots in without touching src/core or src/services. Those
+// layers must include this header only, never `sim/engine.hpp` (enforced by
+// CI and by the `runtime_layer_include_hygiene` ctest; the interface
+// contract itself is covered by tests/rt/runtime_conformance_test.cpp).
 //
 // Semantics every backend must honour:
 //   * time is monotonically non-decreasing and starts at zero,
 //   * events at the same instant fire in scheduling (FIFO) order,
 //   * `cancel` is O(1), idempotent, and safe on fired or invalid ids,
-//   * `schedule_periodic` fires at first, first+p, first+2p, ... without
-//     accumulating drift, until cancelled,
-//   * a committed batch fires its members FIFO at one instant and costs a
-//     single scheduler operation.
+//   * every event is one-shot; periodic work is a `periodic_at_node` chain
+//     of one-shot events at first, first+p, first+2p, ... (no drift).
 #pragma once
 
 #include <cstddef>
@@ -37,23 +35,31 @@ namespace hades {
 class runtime {
  public:
   /// Backend-neutral construction parameters (the runtime factory API).
-  /// `runtime::make` resolves `backend` against the registry — "sim"
-  /// (single pooled event engine), "sharded" (multi-engine conservative
-  /// rounds), "realtime" (steady_clock timers, optionally one OS process
-  /// per node group) — so composition layers select a backend by name and
-  /// never spell a concrete engine type.
+  /// `runtime::make` builds the backend `backend` names — "sim" (single
+  /// pooled event engine), "sharded" (multi-engine conservative rounds),
+  /// "realtime" (steady_clock timers, optionally one OS process per node
+  /// group) — so composition layers select a backend by name and never
+  /// spell a concrete engine type.
   struct options {
     std::string backend = "sim";
     std::size_t node_count = 0;  // nodes the topology queries cover
 
     // --- sharded backend ---------------------------------------------------
-    std::size_t shards = 0;   // node groups (0 = backend default)
-    std::size_t workers = 0;  // threads advancing shards (0 = serial rounds)
+    /// Node groups, each with its own event core (<= 64). 0 = 2; clamped
+    /// to `node_count` when that is set.
+    std::size_t shards = 0;
+    /// Worker threads advancing shards concurrently. 0 = serial
+    /// deterministic rounds on the calling thread. Worker mode requires
+    /// every event handler to touch only state owned by its executing shard
+    /// (DESIGN.md, "Shard confinement").
+    std::size_t workers = 0;
     /// Conservative lookahead: lower bound on every cross-shard scheduling
-    /// delay (the network's delta_min for system runs).
+    /// delay (the network's delta_min for system runs). Must be >= 1ns.
     duration lookahead = duration::microseconds(10);
     /// node -> shard (sharded) or node -> owning process (realtime).
-    /// Empty = contiguous balanced blocks over `node_count`.
+    /// Empty = `sim::contiguous_blocks` over `node_count`. A node past the
+    /// map's end lives on shard `n % shards` (sharded) or in process 0
+    /// (realtime).
     std::vector<std::uint32_t> node_shard;
 
     // --- realtime backend --------------------------------------------------
@@ -71,16 +77,9 @@ class runtime {
     std::size_t process_count = 1;
   };
 
-  using factory_fn =
-      std::function<std::unique_ptr<runtime>(const options&)>;
-
-  /// Register a backend under `name` (last registration wins). The three
-  /// built-ins are registered on first use of `make`/`registered_backends`.
-  static void register_backend(const std::string& name, factory_fn f);
-  /// Construct the backend `o.backend` names. Throws on unknown names.
+  /// Construct the backend `o.backend` names: "sim", "sharded" or
+  /// "realtime". Throws on any other name.
   static std::unique_ptr<runtime> make(const options& o);
-  /// Names currently registered, sorted (the conformance suite sweeps it).
-  static std::vector<std::string> registered_backends();
 
   virtual ~runtime() = default;
   runtime(const runtime&) = delete;
@@ -111,26 +110,14 @@ class runtime {
     return at(now() + d, std::move(fn));
   }
 
-  /// Arm a drift-free periodic event: fires at `first`, then every `period`
-  /// until cancelled. The returned id stays valid across firings. An
-  /// infinite first date or period never fires (a disabled timer), matching
-  /// `after`.
-  virtual sim::event_id schedule_periodic(time_point first, duration period,
-                                          sim::event_fn fn) = 0;
-
-  /// `schedule_periodic` anchored one period from now.
-  sim::event_id every(duration period, sim::event_fn fn) {
-    if (period.is_infinite()) return sim::invalid_event;
-    return schedule_periodic(now() + period, period, std::move(fn));
-  }
-
   /// Drift-free per-node periodic chain: runs `fn` at `first`,
   /// `first + period`, ... while the date stays below `until`. Built on
   /// `at_node`, so on the sharded backend every firing executes on the
   /// shard owning `n` — the anchoring rule timer-driven services follow to
   /// keep a node's sends in send-date order across backends (DESIGN.md,
-  /// "Scenario layer"). Unlike `schedule_periodic` the chain is not
-  /// cancellable: gate inside `fn` (e.g. on `system::crashed`).
+  /// "Scenario layer"). The chain is not cancellable: gate inside `fn`
+  /// (e.g. on `system::crashed`). An infinite period arms nothing (a
+  /// disabled timer), matching `after`.
   void periodic_at_node(node_id n, time_point first, duration period,
                         std::function<void()> fn,
                         time_point until = time_point::infinity()) {
@@ -164,18 +151,6 @@ class runtime {
   /// contexts where structural mutation of shared state would race.
   [[nodiscard]] virtual bool in_event_context() const { return false; }
 
-  // --- same-instant batching ------------------------------------------------
-  /// Open a burst anchored at absolute time `t` (must be >= now()).
-  virtual sim::event_batch open_batch(time_point t) = 0;
-  /// Append one event to the burst; the id is individually cancellable.
-  /// Members are staged: they appear in pending()/empty() only once the
-  /// batch is committed.
-  virtual sim::event_id batch_add(sim::event_batch& b, sim::event_fn fn) = 0;
-  /// Arm the burst with a single scheduler operation. FIFO order is the add
-  /// order; the batch's position among same-instant events is its commit
-  /// point. No-op for an empty batch.
-  virtual void commit(sim::event_batch& b) = 0;
-
   // --- execution control ----------------------------------------------------
   // The draining guarantee, identical on every backend (and asserted by the
   // conformance suite, tests/rt/runtime_conformance_test.cpp):
@@ -185,8 +160,8 @@ class runtime {
   //     waits for the wall clock to pass t before returning.
   //   * `run(max_events)` returns only when the queue is empty or at least
   //     `max_events` events have executed. It may overshoot `max_events` by
-  //     the backend's atom of progress (a committed batch, a sharded round)
-  //     but never stops early with work pending.
+  //     a sharded round (the sharded backend's atom of progress) but never
+  //     stops early with work pending.
   //   * `step()` executes the next pending event and returns true, or
   //     returns false when idle; a real-clock backend blocks until the
   //     event's date.
@@ -199,7 +174,7 @@ class runtime {
   virtual std::size_t run_until(time_point t) = 0;
 
   /// Run until the event queue drains (or >= `max_events` executed; the
-  /// stop is at the backend's atom-of-progress granularity, see above).
+  /// sharded backend stops at round granularity, see above).
   virtual std::size_t run(std::size_t max_events = 100'000'000) = 0;
 
   [[nodiscard]] virtual bool empty() const = 0;
@@ -230,30 +205,20 @@ namespace sim {
 /// usable without including sim/engine.hpp.
 std::unique_ptr<runtime> make_engine();
 
-/// Configuration for the sharded multi-engine backend (see DESIGN.md,
-/// "Sharded backend"): nodes are partitioned into `shards` groups, each
-/// group owning its own pooled event core, advanced under conservative
-/// synchronization — a shard may only run ahead to the global horizon
-/// `min(next pending event) + lookahead`, so `lookahead` must be a lower
-/// bound on every cross-shard scheduling delay (the network's minimum link
-/// delay, delta_min).
-struct sharded_params {
-  std::size_t shards = 2;  // node groups, each with its own event core (<= 64)
-  /// Worker threads advancing shards concurrently. 0 = serial deterministic
-  /// rounds on the calling thread. Worker mode requires every event handler
-  /// to touch only state owned by its executing shard (DESIGN.md, "Shard
-  /// confinement"); `core::system` forwards its `config.runtime.workers`
-  /// here and validates the confinement rules it can check at registration
-  /// time.
-  std::size_t workers = 0;
-  duration lookahead = duration::microseconds(10);  // must be >= 1ns
-  /// node -> shard. Nodes past the end of the vector map to `node % shards`.
-  std::vector<std::uint32_t> node_shard;
-};
+/// The default node -> group map every built-in multi-group backend and
+/// the socket transport share: contiguous balanced blocks, node n of
+/// `node_count` in group `n * groups / node_count`. Workloads place
+/// communicating tasks on neighbouring node ids, so blocks minimize
+/// cross-group traffic — and the sharded/realtime backends agree on
+/// placement, which the sim-vs-real harness relies on.
+std::vector<std::uint32_t> contiguous_blocks(std::size_t node_count,
+                                             std::size_t groups);
 
-/// Factory for the sharded multi-engine backend (`sim::sharded_engine`),
-/// usable without including sim/sharded_engine.hpp.
-std::unique_ptr<runtime> make_sharded_engine(sharded_params p);
+/// Factory for the sharded multi-engine backend (`sim::sharded_engine`,
+/// DESIGN.md "Sharded backend"), usable without including
+/// sim/sharded_engine.hpp. Reads the sharded fields of `o` (node_count,
+/// shards, workers, lookahead, node_shard).
+std::unique_ptr<runtime> make_sharded_engine(const runtime::options& o);
 }  // namespace sim
 
 }  // namespace hades

@@ -8,7 +8,7 @@ namespace hades::sim {
 namespace {
 
 // Which shard (of which sharded_engine) the current thread is executing.
-// Set around every event batch a shard runs; callbacks scheduling follow-up
+// Set around every run of a shard's events; callbacks scheduling follow-up
 // work are routed to the shard that is running them.
 struct exec_ctx {
   const void* owner = nullptr;
@@ -18,21 +18,33 @@ thread_local exec_ctx tls_ctx;
 
 }  // namespace
 
-sharded_engine::sharded_engine(sharded_params p)
-    : lookahead_(p.lookahead), node_shard_(std::move(p.node_shard)) {
-  validate(p.shards >= 1 && p.shards <= 64,
+std::vector<std::uint32_t> contiguous_blocks(std::size_t node_count,
+                                             std::size_t groups) {
+  std::vector<std::uint32_t> map(node_count);
+  for (std::size_t n = 0; n < node_count; ++n)
+    map[n] = static_cast<std::uint32_t>(n * groups / node_count);
+  return map;
+}
+
+sharded_engine::sharded_engine(const runtime::options& o)
+    : lookahead_(o.lookahead) {
+  std::size_t shards = o.shards != 0 ? o.shards : 2;
+  if (o.node_count > 0) shards = std::min(shards, o.node_count);
+  node_shard_ = !o.node_shard.empty() ? o.node_shard
+                                      : contiguous_blocks(o.node_count, shards);
+  validate(shards >= 1 && shards <= 64,
            "sharded_engine: shard count must be in [1, 64]");
   validate(!lookahead_.is_infinite() &&
                lookahead_ >= duration::nanoseconds(1),
            "sharded_engine: lookahead must be finite and >= 1ns");
   for (std::uint32_t s : node_shard_)
-    validate(s < p.shards, "sharded_engine: node mapped to unknown shard");
-  shards_.reserve(p.shards);
-  for (std::size_t s = 0; s < p.shards; ++s) {
+    validate(s < shards, "sharded_engine: node mapped to unknown shard");
+  shards_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<shard>());
-    shards_.back()->outbox.resize(p.shards);
+    shards_.back()->outbox.resize(shards);
   }
-  const std::size_t workers = std::min(p.workers, p.shards);
+  const std::size_t workers = std::min(o.workers, shards);
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
     workers_.emplace_back([this] { worker_main(); });
@@ -100,34 +112,12 @@ event_id sharded_engine::at_node(node_id dst, time_point t, event_fn fn) {
   return invalid_event;  // cross-shard events are fire-and-forget
 }
 
-event_id sharded_engine::schedule_periodic(time_point first, duration period,
-                                           event_fn fn) {
-  const std::uint32_t s = current_shard();
-  return tag(s, shards_[s]->core.schedule_periodic(first, period,
-                                                   std::move(fn)));
-}
-
 void sharded_engine::cancel(event_id id) {
   if (id == invalid_event) return;
   const auto s = static_cast<std::uint32_t>(id.value >> shard_shift);
   if (s >= shards_.size()) return;
   shards_[s]->core.cancel(
       event_id{id.value & ((std::uint64_t{1} << shard_shift) - 1)});
-}
-
-event_batch sharded_engine::open_batch(time_point t) {
-  const std::uint32_t s = current_shard();
-  event_batch b = shards_[s]->core.open_batch(t);
-  b.owner = s;
-  return b;
-}
-
-event_id sharded_engine::batch_add(event_batch& b, event_fn fn) {
-  return tag(b.owner, shards_[b.owner]->core.batch_add(b, std::move(fn)));
-}
-
-void sharded_engine::commit(event_batch& b) {
-  shards_[b.owner]->core.commit(b);
 }
 
 // --- conservative rounds -----------------------------------------------------
@@ -320,8 +310,8 @@ sharded_engine::shard_stats sharded_engine::stats() const {
   return st;
 }
 
-std::unique_ptr<runtime> make_sharded_engine(sharded_params p) {
-  return std::make_unique<sharded_engine>(std::move(p));
+std::unique_ptr<runtime> make_sharded_engine(const runtime::options& o) {
+  return std::make_unique<sharded_engine>(o);
 }
 
 }  // namespace hades::sim

@@ -49,20 +49,17 @@ namespace hades::sim {
 
 class sharded_engine final : public runtime {
  public:
-  explicit sharded_engine(sharded_params p);
+  /// Reads the sharded fields of `o`: `shards` (0 = 2, clamped to a
+  /// non-zero `node_count`), `workers`, `lookahead` and `node_shard`
+  /// (empty = `contiguous_blocks` over `node_count`).
+  explicit sharded_engine(const runtime::options& o);
   ~sharded_engine() override;
 
   // --- runtime interface ---------------------------------------------------
   [[nodiscard]] time_point now() const override;
   event_id at(time_point t, event_fn fn) override;
   event_id at_node(node_id dst, time_point t, event_fn fn) override;
-  event_id schedule_periodic(time_point first, duration period,
-                             event_fn fn) override;
   void cancel(event_id id) override;
-
-  event_batch open_batch(time_point t) override;
-  event_id batch_add(event_batch& b, event_fn fn) override;
-  void commit(event_batch& b) override;
 
   bool step() override;
   std::size_t run_until(time_point t) override;

@@ -21,12 +21,11 @@ monitor_event ev(time_point at, node_id node, monitor_event_kind kind) {
 }
 
 std::unique_ptr<hades::runtime> two_shards() {
-  sim::sharded_params p;
-  p.shards = 2;
-  p.workers = 0;
-  p.lookahead = 100_us;
-  p.node_shard = {0, 1};  // node n lives on shard n
-  return sim::make_sharded_engine(std::move(p));
+  hades::runtime::options o;
+  o.node_count = 2;  // node n lives on shard n
+  o.shards = 2;
+  o.lookahead = 100_us;
+  return sim::make_sharded_engine(o);
 }
 
 // Events recorded on different shards merge by {time, shard, per-shard

@@ -1,6 +1,6 @@
 // Runtime conformance battery (DESIGN.md, "Runtime factory & injector
-// API"): every backend in `runtime::registered_backends()` — sim, sharded,
-// realtime — must honour the same observable contract, because services
+// API"): every backend `runtime::make` builds — sim, sharded, realtime —
+// must honour the same observable contract, because services
 // and scenarios are written against `hades::runtime` and get re-run
 // unchanged on all of them. Each test runs once per backend via the
 // parameterised fixture; dates are milliseconds past a safety base so the
@@ -8,7 +8,6 @@
 // future, while the simulated backends are unaffected.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -50,15 +49,11 @@ class RuntimeConformance : public ::testing::TestWithParam<std::string> {
   std::unique_ptr<runtime> rt_;
 };
 
-TEST_P(RuntimeConformance, RegistryListsBackend) {
-  const auto names = runtime::registered_backends();
-  EXPECT_NE(std::find(names.begin(), names.end(), GetParam()), names.end());
+TEST_P(RuntimeConformance, TimerDateOrderingAndSameDateFifo) {
+  // A fresh runtime holds nothing.
   ASSERT_NE(rt_, nullptr);
   EXPECT_TRUE(rt_->empty());
   EXPECT_EQ(rt_->pending(), 0u);
-}
-
-TEST_P(RuntimeConformance, TimerDateOrderingAndSameDateFifo) {
   const time_point t0 = base();
   std::vector<int> order;
   rt_->at(t0 + 2_ms, [&] { order.push_back(3); });
@@ -86,42 +81,42 @@ TEST_P(RuntimeConformance, CancelPreventsAndIsIdempotent) {
   EXPECT_EQ(late, 1);
 }
 
-TEST_P(RuntimeConformance, PeriodicFiresPerPeriodUntilCancelled) {
-  const time_point t0 = base();
-  int count = 0;
-  const auto id = rt_->schedule_periodic(t0 + 1_ms, 1_ms, [&] { ++count; });
-  ASSERT_NE(id, sim::invalid_event);
-  rt_->run_until(t0 + 5_ms + 500_us);  // fires at +1..+5
-  EXPECT_EQ(count, 5);
-  rt_->cancel(id);
-  rt_->run_until(rt_->now() + 3_ms);
-  EXPECT_EQ(count, 5);
+TEST_P(RuntimeConformance, PeriodicAtNodeFiresOnGridUntilBound) {
+  // The one periodic primitive: firing k is dated first + k*period (no
+  // drift, however late a firing runs) on the shard owning the node, and
+  // the chain stops before `until` — here exactly on the grid, so the
+  // bound itself is excluded.
+  const time_point first = base() + 1_ms;
+  const duration period = 1_ms;
+  const node_id n = conf_nodes - 1;
+  std::vector<std::pair<time_point, std::uint32_t>> fired;
+  rt_->periodic_at_node(
+      n, first, period,
+      [&] { fired.emplace_back(rt_->now(), rt_->executing_shard()); },
+      first + period * 4);
+  rt_->run_until(first + period * 8);
+  ASSERT_EQ(fired.size(), 4u);
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    const time_point due = first + period * static_cast<std::int64_t>(k);
+    // A real-clock callback reads its actual firing instant, never early.
+    if (GetParam() == "realtime")
+      EXPECT_GE(fired[k].first, due) << "firing " << k;
+    else
+      EXPECT_EQ(fired[k].first, due) << "firing " << k;
+    EXPECT_EQ(fired[k].second, rt_->shard_of(n));
+  }
+  EXPECT_TRUE(rt_->empty());
 }
 
 TEST_P(RuntimeConformance, InfiniteTimersNeverArm) {
   EXPECT_EQ(rt_->after(duration::infinity(), [] { ADD_FAILURE(); }),
             sim::invalid_event);
-  EXPECT_EQ(rt_->every(duration::infinity(), [] { ADD_FAILURE(); }),
-            sim::invalid_event);
+  rt_->periodic_at_node(0, base() + 1_ms, duration::infinity(),
+                        [] { ADD_FAILURE(); });
+  rt_->periodic_at_node(0, time_point::infinity(), 1_ms,
+                        [] { ADD_FAILURE(); });
   EXPECT_TRUE(rt_->empty());
-}
-
-TEST_P(RuntimeConformance, BatchStagesUntilCommitThenFiresFifo) {
-  const time_point t0 = base();
-  std::vector<int> order;
-  sim::event_batch b = rt_->open_batch(t0 + 2_ms);
-  rt_->batch_add(b, [&] { order.push_back(1); });
-  const auto middle = rt_->batch_add(b, [&] { order.push_back(2); });
-  rt_->batch_add(b, [&] { order.push_back(3); });
-  // Members are staged: not pending until the batch commits.
   EXPECT_EQ(rt_->pending(), 0u);
-  EXPECT_TRUE(rt_->empty());
-  rt_->commit(b);
-  EXPECT_EQ(rt_->pending(), 3u);
-  // A member id is individually cancellable after commit.
-  rt_->cancel(middle);
-  rt_->run_until(t0 + 3_ms);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST_P(RuntimeConformance, InEventContextOnlyInsideCallbacks) {
@@ -252,17 +247,6 @@ TEST(RuntimeFactory, UnknownBackendThrows) {
   runtime::options o;
   o.backend = "no-such-backend";
   EXPECT_THROW((void)runtime::make(o), hades::error);
-}
-
-TEST(RuntimeFactory, CustomRegistrationWins) {
-  runtime::register_backend("conf-test-alias", [](const runtime::options&) {
-    return sim::make_engine();
-  });
-  runtime::options o;
-  o.backend = "conf-test-alias";
-  auto rt = runtime::make(o);
-  ASSERT_NE(rt, nullptr);
-  EXPECT_EQ(rt->now(), time_point::zero());
 }
 
 }  // namespace

@@ -414,11 +414,11 @@ TEST(NetworkTest, BroadcastSharesOnePooledPayloadAndAllocatesNothing) {
 // execution is a silent race once worker threads run; the network must
 // reject it loudly instead.
 TEST(NetworkTest, StructuralMutationGuardedUnderWorkers) {
-  sharded_params sp;
+  runtime::options sp;
+  sp.node_count = 2;  // node n lives on shard n
   sp.shards = 2;
   sp.workers = 2;
   sp.lookahead = 10_us;
-  sp.node_shard = {0, 1};
   sharded_engine eng(sp);
   network net(eng, tight());
   net.reserve_nodes(2);
@@ -454,7 +454,7 @@ TEST(NetworkTest, StructuralMutationGuardedUnderWorkers) {
   EXPECT_EQ(net.stats().delivered, 1u);
 
   // Serial rounds (workers == 0): structural growth stays allowed.
-  sharded_params sp2 = sp;
+  runtime::options sp2 = sp;
   sp2.workers = 0;
   sharded_engine eng2(sp2);
   network net2(eng2, tight());

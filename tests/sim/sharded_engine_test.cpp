@@ -22,15 +22,15 @@ constexpr std::size_t kNodes = 32;
 constexpr std::size_t kGroups = 8;
 constexpr duration kLookahead = duration::microseconds(10);
 
-sim::sharded_params make_params(std::size_t shards, std::size_t workers) {
-  sim::sharded_params p;
-  p.shards = shards;
-  p.workers = workers;
-  p.lookahead = kLookahead;
-  p.node_shard.resize(kNodes);
-  for (std::size_t n = 0; n < kNodes; ++n)
-    p.node_shard[n] = static_cast<std::uint32_t>(n * shards / kNodes);
-  return p;
+/// `kNodes` nodes in contiguous blocks (the backend's default map).
+runtime::options make_params(std::size_t shards, std::size_t workers) {
+  runtime::options o;
+  o.backend = "sharded";
+  o.node_count = kNodes;
+  o.shards = shards;
+  o.workers = workers;
+  o.lookahead = kLookahead;
+  return o;
 }
 
 // --- the 8-group reference workload -----------------------------------------
@@ -154,14 +154,33 @@ TEST(ShardedEngineTest, RuntimeContractBasics) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(rt->executed(), 2u);
 
-  // Periodic through the interface, drift-free, cancellable.
+  // A periodic chain through the interface, drift-free, ending before
+  // its bound.
   int count = 0;
-  auto id = rt->every(2_us, [&] { ++count; });
-  rt->run_until(rt->now() + 9_us);
-  EXPECT_EQ(count, 4);
-  rt->cancel(id);
-  rt->run_until(rt->now() + 20_us);
-  EXPECT_EQ(count, 4);
+  const time_point t0 = rt->now();
+  rt->periodic_at_node(1, t0 + 2_us, 2_us, [&] { ++count; }, t0 + 9_us);
+  rt->run_until(t0 + 20_us);
+  EXPECT_EQ(count, 4);  // +2, +4, +6, +8
+  EXPECT_TRUE(rt->empty());
+}
+
+TEST(ShardedEngineTest, OptionsDefaultToTwoContiguousShards) {
+  runtime::options o;
+  o.node_count = 6;
+  sim::sharded_engine two(o);  // shards == 0: two contiguous blocks
+  EXPECT_EQ(two.shard_count(), 2u);
+  EXPECT_EQ(two.shard_of(2), 0u);
+  EXPECT_EQ(two.shard_of(3), 1u);
+  EXPECT_EQ(two.shard_of(7), 1u);  // past the map: n % shards
+
+  o.node_count = 3;
+  o.shards = 8;
+  EXPECT_EQ(sim::sharded_engine(o).shard_count(), 3u);  // clamped to nodes
+
+  o.node_shard = {1, 1, 0};
+  sim::sharded_engine mapped(o);
+  EXPECT_EQ(mapped.shard_of(0), 1u);
+  EXPECT_EQ(mapped.shard_of(2), 0u);
 }
 
 TEST(ShardedEngineTest, RunUntilAdvancesEveryShardClock) {

@@ -75,12 +75,11 @@ TEST(TraceTest, KindNamesAreStable) {
 // merged view follows {time, shard, per-shard sequence} — independent of
 // the wall order the shards recorded in (DESIGN.md, "Shard confinement").
 TEST(TraceTest, ShardPartitionsMergeByTimeThenShard) {
-  sharded_params p;
-  p.shards = 2;
-  p.workers = 0;
-  p.lookahead = 100_us;
-  p.node_shard = {0, 1};
-  auto rt = make_sharded_engine(std::move(p));
+  runtime::options o;
+  o.node_count = 2;  // node n lives on shard n
+  o.shards = 2;
+  o.lookahead = 100_us;
+  auto rt = make_sharded_engine(o);
   trace_recorder tr;
   tr.bind(*rt);
 
