@@ -131,8 +131,8 @@ class monitor {
   /// Re-deliver an event forwarded from another process to the routed
   /// listeners subscribed at `home` (which this process owns). The event is
   /// NOT re-recorded — its originating process already logged it — so merged
-  /// streams concatenated across processes stay duplicate-free. Callable
-  /// from a transport receiver thread.
+  /// streams concatenated across processes stay duplicate-free. The socket
+  /// transport calls it between events, outside event context.
   void deliver_forwarded(const monitor_event& e, node_id home);
 
   /// Merged event stream, ordered by {time, shard, per-shard sequence}.

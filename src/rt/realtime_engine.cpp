@@ -1,11 +1,13 @@
 #include "rt/realtime_engine.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <ctime>
+#include <functional>
 #include <limits>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -21,6 +23,10 @@ using sim::event_id;
 using sim::invalid_event;
 
 using steady = std::chrono::steady_clock;
+
+/// Longest single `ppoll`: the kernel's slack on a poll timeout is 0.1 % of
+/// it, above the 50 us default timer slack beyond this length.
+constexpr std::chrono::nanoseconds max_wait = std::chrono::milliseconds(50);
 
 [[nodiscard]] std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -59,13 +65,13 @@ class realtime_engine final : public hades::runtime {
     return time_point::at(duration::nanoseconds(raise_watermark(v)));
   }
 
-  // --- scheduling: every call delegates to the core under the mutex --------
+  // --- scheduling: the loop thread's, or any thread's while none runs ----
 
   event_id at(time_point t, event_fn fn) override {
-    std::lock_guard lk(mu_);
-    const event_id id = core_.at(floor_locked(t), std::move(fn));
-    cv_.notify_all();  // a waiting run loop re-evaluates its horizon
-    return id;
+    require_loop_thread();
+    // Dates behind the core's last fired date are raised to it — never to
+    // the wall clock, so a late event keeps its nominal ordering key.
+    return core_.at(std::max(t, core_.now()), std::move(fn));
   }
 
   event_id at_node(node_id dst, time_point t, event_fn fn) override {
@@ -76,8 +82,14 @@ class realtime_engine final : public hades::runtime {
   }
 
   void cancel(event_id id) override {
-    std::lock_guard lk(mu_);
+    require_loop_thread();
     core_.cancel(id);
+  }
+
+  void watch_fd(int fd, std::function<void()> on_ready) override {
+    require_loop_thread();
+    watched_fd_ = fd;
+    on_ready_ = fd >= 0 ? std::move(on_ready) : nullptr;
   }
 
   // --- topology ------------------------------------------------------------
@@ -93,8 +105,8 @@ class realtime_engine final : public hades::runtime {
   }
   [[nodiscard]] std::size_t worker_count() const override { return 0; }
   [[nodiscard]] bool in_event_context() const override {
-    // Only the loop thread can be inside a callback, and it holds mu_, so
-    // reading the core's flag from it is race-free.
+    // Only the loop thread can be inside a callback, so reading the core's
+    // flag from it is race-free.
     return loop_thread_.load(std::memory_order_relaxed) ==
                std::this_thread::get_id() &&
            core_.in_event_context();
@@ -118,16 +130,11 @@ class realtime_engine final : public hades::runtime {
     return n;
   }
 
-  [[nodiscard]] bool empty() const override {
-    std::lock_guard lk(mu_);
-    return core_.empty();
-  }
+  [[nodiscard]] bool empty() const override { return core_.empty(); }
   [[nodiscard]] std::size_t pending() const override {
-    std::lock_guard lk(mu_);
     return core_.pending();
   }
   [[nodiscard]] std::uint64_t executed() const override {
-    std::lock_guard lk(mu_);
     return core_.executed();
   }
 
@@ -135,43 +142,60 @@ class realtime_engine final : public hades::runtime {
   /// The one run loop behind step/run/run_until: fire the core's events in
   /// order, each once the wall clock passes its date, until `max_events`
   /// have executed or nothing dated <= `bound` is pending. A finite bound
-  /// also holds the loop until the wall clock passes it — an insertion
+  /// also holds the loop until the wall clock passes it — a datagram read
   /// meanwhile (a transport delivery) re-evaluates the loop — and settles
   /// the core's date at the bound.
   std::size_t drive(time_point bound, std::size_t max_events) {
-    std::unique_lock lk(mu_);
+    std::thread::id idle{};
+    require(loop_thread_.compare_exchange_strong(idle,
+                                                 std::this_thread::get_id(),
+                                                 std::memory_order_relaxed),
+            "realtime_engine: a run loop is already running");
     struct loop_scope {
       std::atomic<std::thread::id>& tid;
-      explicit loop_scope(std::atomic<std::thread::id>& t) : tid(t) {
-        tid.store(std::this_thread::get_id(), std::memory_order_relaxed);
-      }
       ~loop_scope() { tid.store(std::thread::id{}, std::memory_order_relaxed); }
-    } scope(loop_thread_);
+    } scope{loop_thread_};
     std::size_t n = 0;
+    bool polled = false;  // the fd was polled since the last event fired
     while (n < max_events) {
       const time_point next = core_.peek_time();  // infinity when idle
       const bool due = !next.is_infinite() && next <= bound;
       if (!due && bound.is_infinite()) break;  // run/step: drained
       const steady::time_point deadline = real_deadline(due ? next : bound);
-      if (steady::now() < deadline) {
-        cv_.wait_until(lk, deadline);
+      const steady::time_point wall = steady::now();
+      if (wall < deadline) {
+        poll_fd(std::min<std::chrono::nanoseconds>(deadline - wall, max_wait));
+        polled = true;
         continue;  // woken early or on time: re-peek either way
       }
       if (!due) {  // run_until: the wall clock passed the bound
         core_.run_until(bound);  // nothing dated <= bound: settles the date
         break;
       }
+      // A late event: a backlog of them must not starve the socket.
+      if (!polled && watched_fd_ >= 0) poll_fd(std::chrono::nanoseconds(0));
+      polled = false;
       const std::uint64_t before = core_.executed();
-      core_.step();  // the callback runs with mu_ held
+      core_.step();
       n += core_.executed() - before;
     }
     return n;
   }
 
-  /// Dates behind the core's last fired date are raised to it — never to
-  /// the wall clock, so a late event keeps its nominal ordering key.
-  [[nodiscard]] time_point floor_locked(time_point t) const {
-    return std::max(t, core_.now());
+  /// Wait up to `timeout` for the watched fd (a plain sleep when none is
+  /// watched) and run its hook when it is ready. EINTR only re-peeks.
+  void poll_fd(std::chrono::nanoseconds timeout) {
+    const timespec ts{static_cast<std::time_t>(timeout.count() / 1'000'000'000),
+                      static_cast<long>(timeout.count() % 1'000'000'000)};
+    pollfd pfd{watched_fd_, POLLIN, 0};
+    const nfds_t nfds = watched_fd_ >= 0 ? 1 : 0;
+    if (::ppoll(&pfd, nfds, &ts, nullptr) > 0 && pfd.revents != 0) on_ready_();
+  }
+
+  void require_loop_thread() const {
+    const std::thread::id t = loop_thread_.load(std::memory_order_relaxed);
+    require(t == std::thread::id{} || t == std::this_thread::get_id(),
+            "realtime_engine: foreign-thread call while a run loop runs");
   }
 
   /// CAS-max the watermark to `v` and return the (possibly larger) result.
@@ -200,10 +224,10 @@ class realtime_engine final : public hades::runtime {
   const std::size_t process_count_;
   std::vector<std::uint32_t> node_process_;  // empty: one process owns all
 
-  mutable std::recursive_mutex mu_;
-  std::condition_variable_any cv_;
-  sim::engine core_;  // guarded by mu_
-  std::atomic<std::thread::id> loop_thread_{};
+  sim::engine core_;
+  int watched_fd_ = -1;
+  std::function<void()> on_ready_;
+  std::atomic<std::thread::id> loop_thread_{};  // inside drive(), or none
   mutable std::atomic<std::int64_t> watermark_{0};
 };
 

@@ -2,32 +2,27 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "rt/codecs.hpp"
 #include "sim/wire_codec.hpp"
 #include "util/error.hpp"
+#include "util/hdr_histogram.hpp"
 #include "util/rng.hpp"
 #include "util/timeline.hpp"
 
 namespace hades::rt {
 
 namespace {
-
-using steady = std::chrono::steady_clock;
 
 constexpr std::uint32_t frame_magic = 0x48444553;  // "HDES"
 constexpr std::uint8_t kind_data = 0;
@@ -59,7 +54,7 @@ struct perf_state {
 
 struct held_frame {
   std::vector<std::byte> bytes;
-  steady::time_point arrived;
+  time_point arrived;  // virtual: the engine's now() on arrival
 };
 
 constexpr std::size_t max_lost_tracked = 4096;  // declared-gap seqs per link
@@ -76,8 +71,10 @@ struct link_state {
 
 }  // namespace
 
-// Shared so that a delayed send still pending in the engine when the
-// transport goes away holds only a weak reference (see on_submit).
+// Shared so that an engine timer still pending when the transport goes
+// away (a delayed send, the hold-back expiry) holds only a weak reference.
+// Every member is touched on the engine's run-loop thread only, or before
+// and after the run (set-up, preregistration, stats), so none is locked.
 struct socket_transport::impl
     : std::enable_shared_from_this<socket_transport::impl> {
   socket_transport_params p;
@@ -86,13 +83,10 @@ struct socket_transport::impl
   core::monitor* mon;
 
   int fd = -1;
-  std::thread receiver;
-  std::atomic<bool> running{false};
   bool started = false;
+  std::vector<std::byte> rx_buf;  // one datagram, sized at start()
+  bool expiry_armed = false;      // the one hold-back expiry timer
 
-  // Sender-side state (hook runs on the event loop; the shim setters run
-  // wherever preregistration happens): one mutex covers it all.
-  mutable std::mutex mu;
   // Date-keyed fault state, read by the same rule as sim::network's.
   std::vector<util::timeline<bool>> node_down;  // node-indexed
   // node -> group (empty = healed)
@@ -102,7 +96,8 @@ struct socket_transport::impl
   std::int64_t max_perf_extra_ns = 0;  // largest registered intentional delay
   std::map<std::pair<node_id, node_id>, link_state> links;
   rng draws;
-  stats_t st;
+  stats_t st;  // the latency quantiles are filled in by stats()
+  hdr_histogram latency;  // real delivery latency (ns), as max_latency_ns
 
   explicit impl(socket_transport_params params) : p(std::move(params)), draws(p.seed) {
     // The realtime engine's placement rule, so both agree on every owner.
@@ -114,8 +109,7 @@ struct socket_transport::impl
     return n < p.node_process.size() ? p.node_process[n] : 0;
   }
 
-  [[nodiscard]] bool partitioned_locked(node_id a, node_id b,
-                                        time_point t) const {
+  [[nodiscard]] bool partitioned(node_id a, node_id b, time_point t) const {
     const auto* groups = partition.at(t);
     if (groups == nullptr || groups->empty()) return false;
     const auto ga = a < groups->size() ? (*groups)[a] : UINT32_MAX;
@@ -125,7 +119,7 @@ struct socket_transport::impl
     return ga != gb;
   }
 
-  [[nodiscard]] bool down_locked(node_id n, time_point t) const {
+  [[nodiscard]] bool down(node_id n, time_point t) const {
     if (n >= node_down.size()) return false;
     const bool* d = node_down[n].at(t);
     return d != nullptr && *d;
@@ -140,64 +134,64 @@ struct socket_transport::impl
                    sizeof addr);
   }
 
+  /// One datagram: `h`, its payload length filled in, then `payload`.
+  static std::vector<std::byte> frame(frame_header h,
+                                      const std::vector<std::byte>& payload) {
+    h.payload_len = static_cast<std::uint32_t>(payload.size());
+    validate(sizeof h + payload.size() <= max_datagram,
+             "socket_transport: frame exceeds one datagram");
+    std::vector<std::byte> buf(sizeof h + payload.size());
+    std::memcpy(buf.data(), &h, sizeof h);
+    std::memcpy(buf.data() + sizeof h, payload.data(), payload.size());
+    return buf;
+  }
+
   /// Network remote hook: true = frame consumed (shipped or shim-dropped).
   bool on_submit(const sim::message& m) {
     if (owner_of(m.dst) == p.process_index) return false;  // local: sim LAN
     const time_point t = m.sent_at;
-    std::vector<std::byte> buf;
-    std::uint32_t dest_proc;
-    std::int64_t extra_ns = 0;
-    {
-      std::lock_guard lk(mu);
-      // Fault decisions before a sequence number is consumed: a shim drop
-      // leaves no gap for the receiver's recovery to wait on.
-      if (down_locked(m.src, t) || down_locked(m.dst, t) ||
-          partitioned_locked(m.src, m.dst, t)) {
-        ++st.dropped_fault;
-        return true;
-      }
-      if (const double* pr = omission.at(t);
-          pr != nullptr && *pr > 0.0 && draws.chance(*pr)) {
-        ++st.dropped_fault;
-        return true;
-      }
-      if (const perf_state* pf = perf.at(t);
-          pf != nullptr && pf->rate > 0.0 && draws.chance(pf->rate))
-        extra_ns = pf->extra_ns;
-
-      frame_header h;
-      h.kind = kind_data;
-      h.src = m.src;
-      h.dst = m.dst;
-      h.channel = m.channel;
-      h.link_seq = ++links[{m.src, m.dst}].next_send_seq;
-      h.sent_at_ns = t.nanoseconds();
-      h.extra_delay_ns = extra_ns;
-      h.msg_id = m.id;
-      h.size_bytes = m.size_bytes;
-
-      std::vector<std::byte> payload;
-      h.payload_tag = sim::wire_codec::encode(m.payload, payload);
-      h.payload_len = static_cast<std::uint32_t>(payload.size());
-      validate(sizeof h + payload.size() <= max_datagram,
-               "socket_transport: payload exceeds one datagram");
-      buf.resize(sizeof h + payload.size());
-      std::memcpy(buf.data(), &h, sizeof h);
-      std::memcpy(buf.data() + sizeof h, payload.data(), payload.size());
-      dest_proc = owner_of(m.dst);
-      ++st.sent;
-      if (extra_ns > 0) ++st.delayed;
+    // Fault decisions before a sequence number is consumed: a shim drop
+    // leaves no gap for the receiver's recovery to wait on.
+    if (down(m.src, t) || down(m.dst, t) || partitioned(m.src, m.dst, t)) {
+      ++st.dropped_fault;
+      return true;
     }
+    if (const double* pr = omission.at(t);
+        pr != nullptr && *pr > 0.0 && draws.chance(*pr)) {
+      ++st.dropped_fault;
+      return true;
+    }
+    std::int64_t extra_ns = 0;
+    if (const perf_state* pf = perf.at(t);
+        pf != nullptr && pf->rate > 0.0 && draws.chance(pf->rate))
+      extra_ns = pf->extra_ns;
+
+    frame_header h;
+    h.kind = kind_data;
+    h.src = m.src;
+    h.dst = m.dst;
+    h.channel = m.channel;
+    h.link_seq = ++links[{m.src, m.dst}].next_send_seq;
+    h.sent_at_ns = t.nanoseconds();
+    h.extra_delay_ns = extra_ns;
+    h.msg_id = m.id;
+    h.size_bytes = m.size_bytes;
+
+    std::vector<std::byte> payload;
+    h.payload_tag = sim::wire_codec::encode(m.payload, payload);
+    std::vector<std::byte> buf = frame(h, payload);
+    const std::uint32_t dest_proc = owner_of(m.dst);
+    ++st.sent;
     if (extra_ns > 0) {
+      ++st.delayed;
       // An engine timer at the send date + extra (the engine maps it to
       // real time). It holds a weak reference and sends only while the
       // socket is open: a stopped or destroyed transport is never touched.
       rt->at(m.sent_at + duration::nanoseconds(extra_ns),
              [self = weak_from_this(), dest_proc, buf = std::move(buf)] {
                const auto i = self.lock();
-               if (i == nullptr) return;
-               std::lock_guard lk(i->mu);
-               if (i->fd >= 0) i->send_to(dest_proc, buf.data(), buf.size());
+               if (i != nullptr && i->fd >= 0)
+                 i->send_to(dest_proc, buf.data(), buf.size());
              });
     } else {
       send_to(dest_proc, buf.data(), buf.size());
@@ -216,21 +210,17 @@ struct socket_transport::impl
     h.kind = kind_monitor;
     h.dst = home;
     h.sent_at_ns = e.at.nanoseconds();
-    h.payload_len = static_cast<std::uint32_t>(payload.size());
-    validate(sizeof h + payload.size() <= max_datagram,
-             "socket_transport: monitor event exceeds one datagram");
-    std::vector<std::byte> buf(sizeof h + payload.size());
-    std::memcpy(buf.data(), &h, sizeof h);
-    std::memcpy(buf.data() + sizeof h, payload.data(), payload.size());
-    {
-      std::lock_guard lk(mu);
-      ++st.sent;
-    }
+    const std::vector<std::byte> buf = frame(h, payload);
+    ++st.sent;
     send_to(dest_proc, buf.data(), buf.size());
     return true;
   }
 
-  void deliver(const frame_header& h, const std::byte* payload) {
+  /// Hand one validated datagram (header + payload) to the local stack.
+  void deliver(const std::byte* data) {
+    frame_header h;
+    std::memcpy(&h, data, sizeof h);
+    const std::byte* payload = data + sizeof h;
     if (h.kind == kind_monitor) {
       mon->deliver_forwarded(decode_monitor_event(payload, h.payload_len),
                              h.dst);
@@ -248,12 +238,70 @@ struct socket_transport::impl
     // must honor the Δ bound the checkers assume — or the harness fails.
     const std::int64_t lat =
         rt->now().nanoseconds() - h.sent_at_ns - h.extra_delay_ns;
-    {
-      std::lock_guard lk(mu);
-      st.max_latency_ns = std::max(st.max_latency_ns, lat);
-      if (lat > p.delta_max.count()) ++st.delta_violations;
-    }
+    latency.record(lat);
+    st.max_latency_ns = std::max(st.max_latency_ns, lat);
+    if (lat > p.delta_max.count()) ++st.delta_violations;
     net->deliver_remote(std::move(m));
+  }
+
+  /// Deliver the run of held frames that continues `l`'s sequence.
+  void release_in_order(link_state& l) {
+    while (!l.held.empty() && l.held.begin()->first == l.expected) {
+      deliver(l.held.begin()->second.bytes.data());
+      l.held.erase(l.held.begin());
+      ++l.expected;
+    }
+  }
+
+  /// Declare the datagrams in front of `l`'s oldest held frame lost and
+  /// resume from it (observably an omission).
+  void skip_gap(link_state& l) {
+    ++st.gaps_declared;
+    // Remember the skipped sequences: should one arrive after all (a delay
+    // beyond even the stretched window), it is delivered late rather than
+    // mistaken for a duplicate.
+    for (std::uint64_t s = l.expected; s < l.held.begin()->first; ++s) {
+      if (l.lost.size() >= max_lost_tracked) l.lost.erase(l.lost.begin());
+      l.lost.insert(s);
+    }
+    l.expected = l.held.begin()->first;
+    release_in_order(l);
+  }
+
+  /// How long a frame waits behind a gap, in virtual time: the real
+  /// holdback for loopback jitter, plus the largest registered perf-fault
+  /// delay, or every injected delay would degenerate into an omission.
+  [[nodiscard]] duration holdback_window() const {
+    return duration::nanoseconds(max_perf_extra_ns) +
+           p.holdback.scaled(1.0 / p.time_scale);
+  }
+
+  /// Arm the hold-back expiry timer at `t` unless one is armed already. It
+  /// holds a weak reference, like a delayed send.
+  void arm_expiry(time_point t) {
+    if (expiry_armed) return;
+    expiry_armed = true;
+    rt->at(t, [self = weak_from_this()] {
+      const auto i = self.lock();
+      if (i == nullptr) return;
+      i->expiry_armed = false;
+      if (i->fd >= 0) i->expire_holdbacks();
+    });
+  }
+
+  /// The expiry timer: skip the gap of every link whose oldest held frame
+  /// has waited out the window, and re-arm for the earliest one left.
+  void expire_holdbacks() {
+    const duration window = holdback_window();
+    const time_point now = rt->now();
+    auto next = time_point::infinity();
+    for (auto& [link, l] : links) {
+      if (l.held.empty()) continue;
+      if (now - l.held.begin()->second.arrived >= window) skip_gap(l);
+      if (!l.held.empty())
+        next = std::min(next, l.held.begin()->second.arrived + window);
+    }
+    if (!next.is_infinite()) arm_expiry(next);
   }
 
   void handle_datagram(const std::byte* data, std::size_t len) {
@@ -261,131 +309,47 @@ struct socket_transport::impl
     if (len < sizeof h) return;
     std::memcpy(&h, data, sizeof h);
     if (h.magic != frame_magic || len != sizeof h + h.payload_len) return;
-    {
-      std::lock_guard lk(mu);
-      ++st.received;
-    }
-    const std::byte* payload = data + sizeof h;
+    ++st.received;
     if (h.kind == kind_monitor) {
-      deliver(h, payload);
+      deliver(data);
       return;
     }
     // Per-link FIFO recovery: deliver in sequence order, holding frames
     // that arrive ahead of a gap.
-    std::vector<std::vector<std::byte>> ready;
-    {
-      std::lock_guard lk(mu);
-      link_state& l = links[{h.src, h.dst}];
-      if (h.link_seq < l.expected) {
-        const auto it = l.lost.find(h.link_seq);
-        if (it == l.lost.end()) {
-          ++st.dup_dropped;
-          return;
-        }
-        // A declared-lost frame finally arrived (a perf-fault delay that
-        // outlasted the hold-back window): deliver it late, outside FIFO
-        // order — the sim delivers a perf-faulted message late, never as
-        // an extra omission.
-        l.lost.erase(it);
-        ++st.late_delivered;
-      } else if (h.link_seq > l.expected) {
-        held_frame held;
-        held.bytes.assign(data, data + len);
-        held.arrived = steady::now();
-        l.held.emplace(h.link_seq, std::move(held));
+    link_state& l = links[{h.src, h.dst}];
+    if (h.link_seq < l.expected) {
+      const auto it = l.lost.find(h.link_seq);
+      if (it == l.lost.end()) {
+        ++st.dup_dropped;
         return;
-      } else {
-        ++l.expected;
-        while (!l.held.empty() && l.held.begin()->first == l.expected) {
-          ready.push_back(std::move(l.held.begin()->second.bytes));
-          l.held.erase(l.held.begin());
-          ++l.expected;
-        }
       }
-    }
-    deliver(h, payload);
-    for (const auto& bytes : ready) {
-      frame_header rh;
-      std::memcpy(&rh, bytes.data(), sizeof rh);
-      deliver(rh, bytes.data() + sizeof rh);
+      // A declared-lost frame finally arrived (a perf-fault delay that
+      // outlasted the hold-back window): deliver it late, outside FIFO
+      // order — the sim delivers a perf-faulted message late, never as an
+      // extra omission.
+      l.lost.erase(it);
+      ++st.late_delivered;
+      deliver(data);
+    } else if (h.link_seq > l.expected) {
+      const time_point now = rt->now();
+      l.held.emplace(h.link_seq,
+                     held_frame{std::vector<std::byte>(data, data + len), now});
+      if (l.held.size() > max_held) skip_gap(l);
+      if (!l.held.empty()) arm_expiry(now + holdback_window());
+    } else {
+      ++l.expected;
+      deliver(data);
+      release_in_order(l);
     }
   }
 
-  /// Declare datagrams behind an over-age or over-full hold-back window
-  /// lost and resume from the oldest held frame (observably an omission).
-  /// Returns the receiver's next poll timeout in ms: until the earliest
-  /// remaining hold-back expiry, or -1 (indefinitely) when nothing is held.
-  int flush_expired_holdbacks() {
-    std::vector<std::vector<std::byte>> ready;
-    auto next_expiry = steady::time_point::max();
-    {
-      std::lock_guard lk(mu);
-      const auto now = steady::now();
-      // The base window covers real loopback jitter; a registered
-      // performance fault additionally holds its victims for extra_ns
-      // stretched by time_scale on the sender, so the window must stretch
-      // with it or every injected delay degenerates into an omission.
-      const auto max_age = std::chrono::nanoseconds(
-          p.holdback.count() +
-          static_cast<std::int64_t>(static_cast<double>(max_perf_extra_ns) *
-                                    p.time_scale));
-      for (auto& [link, l] : links) {
-        if (l.held.empty()) continue;
-        const bool expired =
-            l.held.size() > max_held ||
-            now - l.held.begin()->second.arrived > max_age;
-        if (expired) {
-          ++st.gaps_declared;
-          // Remember the skipped sequences: should one arrive after all (a
-          // delay beyond even the stretched window), it is delivered late
-          // rather than mistaken for a duplicate.
-          for (std::uint64_t s = l.expected; s < l.held.begin()->first; ++s) {
-            if (l.lost.size() >= max_lost_tracked) l.lost.erase(l.lost.begin());
-            l.lost.insert(s);
-          }
-          l.expected = l.held.begin()->first;
-          while (!l.held.empty() && l.held.begin()->first == l.expected) {
-            ready.push_back(std::move(l.held.begin()->second.bytes));
-            l.held.erase(l.held.begin());
-            ++l.expected;
-          }
-        }
-        if (!l.held.empty())
-          next_expiry =
-              std::min(next_expiry, l.held.begin()->second.arrived + max_age);
-      }
-    }
-    for (const auto& bytes : ready) {
-      frame_header rh;
-      std::memcpy(&rh, bytes.data(), sizeof rh);
-      deliver(rh, bytes.data() + sizeof rh);
-    }
-    if (next_expiry == steady::time_point::max()) return -1;
-    // Rounded up: waking before the expiry would only spin.
-    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
-        next_expiry - steady::now());
-    return static_cast<int>(std::max<std::int64_t>(wait.count(), 0));
-  }
-
-  /// The receiver thread: sleeps in `poll` until a datagram arrives or the
-  /// earliest hold-back expires. `stop` wakes it by shutting the socket's
-  /// read side, which makes it readable (recvfrom returns 0).
-  void receive_loop() {
-    std::vector<std::byte> buf(1 << 16);
-    int timeout_ms = -1;
-    while (running.load(std::memory_order_relaxed)) {
-      pollfd pfd{fd, POLLIN, 0};
-      const int r = ::poll(&pfd, 1, timeout_ms);
-      if (r > 0 && (pfd.revents & POLLIN) != 0) {
-        for (;;) {
-          const ssize_t n =
-              ::recvfrom(fd, buf.data(), buf.size(), MSG_DONTWAIT, nullptr,
-                         nullptr);
-          if (n <= 0) break;
-          handle_datagram(buf.data(), static_cast<std::size_t>(n));
-        }
-      }
-      timeout_ms = flush_expired_holdbacks();
+  /// The engine's readiness hook: read every queued datagram.
+  void on_readable() {
+    for (;;) {
+      const ssize_t n = ::recvfrom(fd, rx_buf.data(), rx_buf.size(),
+                                   MSG_DONTWAIT, nullptr, nullptr);
+      if (n <= 0) return;
+      handle_datagram(rx_buf.data(), static_cast<std::size_t>(n));
     }
   }
 };
@@ -400,6 +364,7 @@ socket_transport::socket_transport(hades::runtime& rt, sim::network& net,
   validate(impl_->p.process_count >= 1, "socket_transport: process_count >= 1");
   validate(impl_->p.process_index < impl_->p.process_count,
            "socket_transport: process_index out of range");
+  rt.watch_fd(-1, nullptr);  // throws unless the backend can watch a socket
   register_hades_codecs();
 }
 
@@ -426,8 +391,8 @@ void socket_transport::start() {
                 std::to_string(i.p.base_port + i.p.process_index) +
                 ") failed: " + std::strerror(err));
   }
-  i.running.store(true);
-  i.receiver = std::thread([&i] { i.receive_loop(); });
+  i.rx_buf.resize(1 << 16);
+  i.rt->watch_fd(i.fd, [&i] { i.on_readable(); });
   i.net->set_remote_hook([&i](const sim::message& m) { return i.on_submit(m); });
   i.mon->set_forwarder(
       [&i](const core::monitor_event& e, node_id home, duration d) {
@@ -441,27 +406,20 @@ void socket_transport::stop() {
   if (!i.started) return;
   i.net->set_remote_hook(nullptr);
   i.mon->set_forwarder(nullptr);
-  i.running.store(false);
-  (void)::shutdown(i.fd, SHUT_RD);  // wakes the receiver's poll
-  if (i.receiver.joinable()) i.receiver.join();
-  {
-    std::lock_guard lk(i.mu);  // a delayed send checks the fd under it
-    ::close(i.fd);
-    i.fd = -1;
-  }
+  i.rt->watch_fd(-1, nullptr);  // before the fd goes: never polled closed
+  ::close(i.fd);
+  i.fd = -1;
   i.started = false;
 }
 
 void socket_transport::set_node_down_at(time_point t, node_id n, bool down) {
   impl& i = *impl_;
-  std::lock_guard lk(i.mu);
   if (n >= i.node_down.size()) i.node_down.resize(n + 1);
   i.node_down[n].set(t, down);
 }
 
 void socket_transport::partition_at(
     time_point t, const std::vector<std::vector<node_id>>& groups) {
-  impl& i = *impl_;
   // node -> group id, matching sim::network's membership rule: nodes in no
   // named group remain connected to everyone.
   std::size_t max_node = 0;
@@ -470,34 +428,30 @@ void socket_transport::partition_at(
   std::vector<std::uint32_t> member(max_node + 1, UINT32_MAX);
   for (std::uint32_t gi = 0; gi < groups.size(); ++gi)
     for (node_id n : groups[gi]) member[n] = gi;
-  std::lock_guard lk(i.mu);
-  i.partition.set(t, std::move(member));
+  impl_->partition.set(t, std::move(member));
 }
 
 void socket_transport::heal_partition_at(time_point t) {
-  impl& i = *impl_;
-  std::lock_guard lk(i.mu);
-  i.partition.set(t, {});
+  impl_->partition.set(t, {});
 }
 
 void socket_transport::set_omission_rate_at(time_point t, double p) {
-  impl& i = *impl_;
-  std::lock_guard lk(i.mu);
-  i.omission.set(t, p);
+  impl_->omission.set(t, p);
 }
 
 void socket_transport::set_performance_fault_at(time_point t, double rate,
                                                 duration extra) {
   impl& i = *impl_;
-  std::lock_guard lk(i.mu);
   i.perf.set(t, {rate, extra.count()});
   if (rate > 0.0)
     i.max_perf_extra_ns = std::max(i.max_perf_extra_ns, extra.count());
 }
 
 socket_transport::stats_t socket_transport::stats() const {
-  std::lock_guard lk(impl_->mu);
-  return impl_->st;
+  stats_t st = impl_->st;
+  st.latency_p50_ns = impl_->latency.value_at_quantile(0.50);
+  st.latency_p99_ns = impl_->latency.value_at_quantile(0.99);
+  return st;
 }
 
 std::uint32_t socket_transport::owner(node_id n) const {

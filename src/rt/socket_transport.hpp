@@ -20,14 +20,14 @@
 //               overtake it); the intentional delay rides the frame header
 //               so the receiver's Δ check does not count it against the
 //               network.
-// Each transport adds one thread, the receiver; it sleeps in `poll` until a
-// datagram arrives or the earliest hold-back expires. Sending (immediate or
-// delayed) happens on whichever thread runs the engine.
+// The transport adds no thread: it hands its socket to the engine's
+// readiness hook (`runtime::watch_fd`), so the run-loop thread reads
+// datagrams between events, as it sends them from inside events.
 //
 // Receivers recover per-link FIFO with a sequence hold-back window: a gap
-// (a genuinely lost datagram) is declared lost after a bounded hold and
-// skipped — the same observable outcome as an omission fault, which every
-// HADES service already tolerates. The hold stretches to cover the largest
+// (a genuinely lost datagram) is declared lost after a bounded hold (one
+// engine timer) and skipped — the same observable outcome as an omission
+// fault, which every HADES service already tolerates. The hold stretches to cover the largest
 // registered performance-fault delay, and a declared-lost frame that does
 // arrive later is still delivered (late, out of FIFO order — the sim's
 // perf-fault semantics) instead of degenerating into an omission.
@@ -38,9 +38,9 @@
 // the transport must not subject them to wire faults.
 //
 // The receiver measures real end-to-end latency (minus any intentional
-// extra delay) against the configured delta_max and counts violations; the
-// harness fails loudly when the wall clock broke the Δ bound the checkers'
-// verdicts assume.
+// extra delay) into a zero-allocation histogram, checks it against the
+// configured delta_max and counts violations; the harness fails loudly when
+// the wall clock broke the Δ bound the checkers' verdicts assume.
 #pragma once
 
 #include <cstddef>
@@ -85,18 +85,20 @@ struct socket_transport_params {
 
 class socket_transport final : public scenario::fault_injector {
  public:
+  /// `rt` must be the realtime backend: the others throw `hades::error`.
   socket_transport(hades::runtime& rt, sim::network& net, core::monitor& mon,
                    socket_transport_params p);
   ~socket_transport() override;
   socket_transport(const socket_transport&) = delete;
   socket_transport& operator=(const socket_transport&) = delete;
 
-  /// Open the socket, start the receiver thread, and install the network
-  /// remote hook + monitor forwarder. Call after every node is attached and
-  /// before the run loop starts. Throws `hades::error` (socket closed
+  /// Open the socket, hand it to the engine's readiness hook, and install
+  /// the network remote hook + monitor forwarder. Call after every node is
+  /// attached and before the run loop starts, on the thread that will run
+  /// it or with no loop running. Throws `hades::error` (socket closed
   /// again) when the port cannot be bound.
   void start();
-  /// Uninstall hooks, stop the receiver, close the socket. Idempotent; the
+  /// Uninstall the hooks, unwatch the socket, close it. Idempotent; the
   /// destructor calls it. Delayed frames still pending in the engine are
   /// then never sent, even if the engine runs past their date.
   void stop();
@@ -120,7 +122,10 @@ class socket_transport final : public scenario::fault_injector {
     std::uint64_t late_delivered = 0; // declared-lost frames arriving late
     std::uint64_t delta_violations = 0;
     std::int64_t max_latency_ns = 0;  // real latency, intentional delay excluded
+    std::int64_t latency_p50_ns = 0;  // its quantiles, within 0.8 %
+    std::int64_t latency_p99_ns = 0;
   };
+  /// Call with no run loop running, or from the loop's thread.
   [[nodiscard]] stats_t stats() const;
 
   [[nodiscard]] std::uint32_t owner(node_id n) const;

@@ -199,8 +199,8 @@ void network::deliver_now(const message& m) {
 }
 
 void network::deliver_remote(message m) {
-  // The transport's receiver thread hands frames over as they surface from
-  // per-link sequence recovery; schedule on the destination's shard at the
+  // The transport hands frames over as they surface from per-link sequence
+  // recovery, between events; schedule on the destination's shard at the
   // current date so the handler runs in event context with the same
   // delivery-date node-down check local frames get.
   rt_->at_node(m.dst, rt_->now(), [this, m = std::move(m)]() { deliver_now(m); });

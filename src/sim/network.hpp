@@ -253,9 +253,8 @@ class network : public scenario::fault_injector {
   }
   /// Inject a frame that arrived from a remote transport: schedules the
   /// destination's handler on its owning shard at the current date, with the
-  /// same delivery-date node-down check local frames get. Callable from the
-  /// transport's receiver thread (the realtime backend's scheduling calls
-  /// are thread-safe).
+  /// same delivery-date node-down check local frames get. The socket
+  /// transport calls it from the engine's readiness hook, between events.
   void deliver_remote(message m);
 
   // --- observability ---------------------------------------------------

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sim/event.hpp"
+#include "util/error.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -117,10 +118,13 @@ class runtime {
   /// keep a node's sends in send-date order across backends (DESIGN.md,
   /// "Scenario layer"). The chain is not cancellable: gate inside `fn`
   /// (e.g. on `system::crashed`). An infinite period arms nothing (a
-  /// disabled timer), matching `after`.
+  /// disabled timer), matching `after`. A zero or negative period would
+  /// re-arm at one date forever and is rejected with `hades::error`.
   void periodic_at_node(node_id n, time_point first, duration period,
                         std::function<void()> fn,
                         time_point until = time_point::infinity()) {
+    validate(period > duration::zero(),
+             "runtime::periodic_at_node: period must be positive");
     if (first >= until || period.is_infinite()) return;
     periodic_link(n, first, period,
                   std::make_shared<std::function<void()>>(std::move(fn)),
@@ -130,6 +134,14 @@ class runtime {
   /// Cancel a previously scheduled event. Safe with invalid_event, with an
   /// already-fired id, and when called twice.
   virtual void cancel(sim::event_id id) = 0;
+
+  /// Readiness hook for one fd: the run loop calls `on_ready` between
+  /// events whenever `fd` is readable (it must drain the fd). A new call
+  /// replaces the hook; a negative `fd` removes it. Only the realtime
+  /// backend waits on fds; the simulated ones throw `hades::error`.
+  virtual void watch_fd(int /*fd*/, std::function<void()> /*on_ready*/) {
+    throw error("runtime::watch_fd: only the realtime backend waits on fds");
+  }
 
   // --- shard topology (DESIGN.md, "Shard confinement") ----------------------
   // The small query surface components need to keep their state

@@ -8,6 +8,9 @@
 // future, while the simulated backends are unaffected.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -119,6 +122,26 @@ TEST_P(RuntimeConformance, InfiniteTimersNeverArm) {
   EXPECT_EQ(rt_->pending(), 0u);
 }
 
+TEST_P(RuntimeConformance, NonPositivePeriodIsRejected) {
+  // A zero period would re-arm at one date forever and hang run().
+  EXPECT_THROW(rt_->periodic_at_node(0, base() + 1_ms, duration::zero(),
+                                     [] { ADD_FAILURE(); }),
+               hades::error);
+  EXPECT_THROW(rt_->periodic_at_node(0, base() + 1_ms, -1_ms,
+                                     [] { ADD_FAILURE(); }),
+               hades::error);
+  EXPECT_TRUE(rt_->empty());
+}
+
+TEST_P(RuntimeConformance, OnlyTheRealtimeBackendWatchesFds) {
+  if (GetParam() == "realtime") {
+    EXPECT_NO_THROW(rt_->watch_fd(-1, nullptr));  // removing no hook: no-op
+  } else {
+    EXPECT_THROW(rt_->watch_fd(0, [] { ADD_FAILURE(); }), hades::error);
+  }
+  EXPECT_TRUE(rt_->empty());
+}
+
 TEST_P(RuntimeConformance, InEventContextOnlyInsideCallbacks) {
   EXPECT_FALSE(rt_->in_event_context());
   bool inside = false;
@@ -194,32 +217,79 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param;
     });
 
-TEST(RealtimeEngine, CrossThreadArmDuringWaitLosesNoEvents) {
-  // Regression: the run loop reads the heap head, waits with the mutex
-  // released, and used to pop blindly on wake-up. A transport thread arming
-  // an earlier-dated event during that wait could have ITS entry popped and
-  // discarded while the original fired — the event was silently lost and
-  // empty() never drained. The realtime backend documents thread-safe
-  // scheduling (the socket receiver thread), so hammer exactly that window.
+/// A connected pair of datagram sockets, closed on scope exit.
+struct socket_pair {
+  int fd[2] = {-1, -1};
+  socket_pair() {
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_DGRAM, 0, fd), 0);
+  }
+  ~socket_pair() {
+    for (int f : fd)
+      if (f >= 0) ::close(f);
+  }
+};
+
+TEST(RealtimeEngine, LateBacklogDoesNotStarveTheWatchedFd) {
+  // Twenty events share one date, and the first overruns it by 5 ms, so the
+  // other nineteen are all late: the loop runs them back to back without
+  // waiting. The first also makes the watched socket readable; the loop
+  // must read it before the next late event, not after the backlog.
   auto rt = runtime::make(options_for("realtime"));
-  std::atomic<int> fired{0};
-  constexpr int anchors = 50;
-  constexpr int external = 400;
+  socket_pair sp;
+  constexpr int backlog = 20;
+  int fired = 0;
+  int fired_at_read = -1;
+  rt->watch_fd(sp.fd[0], [&] {
+    char b[8];
+    while (::recv(sp.fd[0], b, sizeof b, MSG_DONTWAIT) > 0) {
+    }
+    if (fired_at_read < 0) fired_at_read = fired;
+  });
   const time_point t0 = rt->now() + 5_ms;
-  // Anchors every 1ms keep the run loop parked inside condvar waits.
-  for (int i = 1; i <= anchors; ++i) rt->at(t0 + 1_ms * i, [&] { ++fired; });
-  std::thread producer([&] {
-    for (int i = 0; i < external; ++i) {
-      // Due immediately: sorts ahead of whatever anchor the loop waits on.
-      rt->at(rt->now(), [&] { ++fired; });
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  rt->at(t0, [&] {
+    ++fired;
+    const char b = 'x';
+    EXPECT_EQ(::send(sp.fd[1], &b, 1, 0), 1);
+    while (rt->now() < t0 + 5_ms) {
     }
   });
-  rt->run_until(t0 + 1_ms * (anchors + 10));
-  producer.join();
-  rt->run_until(rt->now() + 2_ms);  // drain any late-armed stragglers
-  EXPECT_EQ(fired.load(), anchors + external);
+  for (int i = 1; i < backlog; ++i) rt->at(t0, [&] { ++fired; });
+  rt->run_until(t0 + 6_ms);
+  EXPECT_EQ(fired, backlog);
+  EXPECT_EQ(fired_at_read, 1) << "the socket waited for the late backlog";
+  rt->watch_fd(-1, nullptr);
+}
+
+TEST(RealtimeEngine, ForeignThreadSchedulingDuringRunUntilThrows) {
+  // One thread per realtime process: while a loop runs, a scheduling call
+  // from any other thread is a race on the event core, and it is refused.
+  auto rt = runtime::make(options_for("realtime"));
+  std::atomic<bool> in_loop{false};
+  std::atomic<int> outcome{0};  // 1 = refused, 2 = accepted
+  const time_point t0 = rt->now() + 5_ms;
+  rt->at(t0, [&] {
+    in_loop = true;
+    // Hold the loop inside this callback until the foreign call is over.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (outcome.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    }
+  });
+  std::thread foreign([&] {
+    while (!in_loop.load()) std::this_thread::yield();
+    try {
+      rt->at(t0 + 1_s, [] { ADD_FAILURE(); });
+      outcome = 2;
+    } catch (const hades::invariant_violation&) {
+      outcome = 1;
+    }
+  });
+  rt->run_until(t0 + 1_ms);
+  foreign.join();
+  EXPECT_EQ(outcome.load(), 1);
   EXPECT_TRUE(rt->empty());
+  // With no loop running, any thread may schedule (set-up, inspection).
+  std::thread([&] { rt->at(rt->now() + 1_ms, [] {}); }).join();
+  EXPECT_EQ(rt->pending(), 1u);
 }
 
 TEST(RealtimeEngine, LateNestedEventStillDrainsBeforeRunUntilBound) {

@@ -1,9 +1,10 @@
 // The UDP loopback transport (DESIGN.md, "Realtime backend"), driven in one
 // process: two realtime node groups of a 4-node deployment (nodes 0-1 in
 // group 0, nodes 2-3 in group 1), each with its own engine, network and
-// transport on 127.0.0.1. Covers the transport's thread budget, the
-// performance-fault path (delayed frames are engine timers), a delayed
-// frame outliving its transport, and the socket on a failed bind.
+// transport on 127.0.0.1. Covers the transport's thread budget (none: the
+// engine's run loop reads the socket), a datagram waking a loop parked on a
+// far timer, the performance-fault path (delayed frames are engine timers),
+// a delayed frame outliving its transport, and the socket on a failed bind.
 #include "rt/socket_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -140,17 +141,42 @@ std::uint16_t start_transports(std::array<std::unique_ptr<group>, kGroups>& gs,
   }
 }
 
-TEST(SocketTransportTest, StartAddsExactlyOneThread) {
+TEST(SocketTransportTest, StartAddsNoThread) {
   auto gs = make_groups(steady_now_ns());
   // A sanitizer runtime may start a helper thread with the first thread
   // the process creates; make sure it is already counted.
   std::thread([] {}).join();
   const std::size_t before = settled_thread_count();
   start_transports(gs, duration::zero());
-  // One receiver per transport: delayed frames ride the engine's timers.
-  EXPECT_EQ(settled_thread_count(), before + kGroups);
+  // The engine's run loop reads the socket; delayed frames and the
+  // hold-back expiry ride the engine's timers.
+  EXPECT_EQ(settled_thread_count(), before + 0);
   for (auto& g : gs) g->tx->stop();
   EXPECT_EQ(settled_thread_count(), before);
+}
+
+TEST(SocketTransportTest, DatagramWakesALoopParkedOnAFarTimer) {
+  auto gs = make_groups(steady_now_ns());
+  start_transports(gs, duration::zero());
+  group& from = *gs[0];
+  group& to = *gs[1];
+  // The receiving loop's only event is 50 ms out; the frame leaves 10 ms
+  // in. Read only when that timer fires, it would arrive ~40 ms late.
+  const time_point t0 = to.rt->now();
+  bool timer_fired = false;
+  to.rt->at(t0 + 50_ms, [&timer_fired] { timer_fired = true; });
+  from.rt->at(t0 + 10_ms, [&from] {
+    from.net->unicast(0, 2, 0, sim::wire_payload(int{1}));
+  });
+  std::thread sender([&] { from.rt->run_until(t0 + 15_ms); });
+  to.rt->run_until(t0 + 60_ms);
+  sender.join();
+
+  ASSERT_TRUE(timer_fired);
+  ASSERT_EQ(to.got.size(), 1u);
+  const delivery& d = to.got[0];
+  EXPECT_LE(d.delivered_at - d.sent_at, rt::socket_transport_params{}.holdback)
+      << "the frame waited for the parked timer";
 }
 
 TEST(SocketTransportTest, FailedBindThrowsAndClosesTheSocket) {
@@ -220,7 +246,8 @@ TEST(SocketTransportTest, DelayedFrameOutlivingItsTransportIsNeverSent) {
   g.tx.reset();
   g.rt->run_until(g.rt->now() + 10_ms);  // past the frame's date
   EXPECT_TRUE(g.rt->empty());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The peer's loop reads whatever reached its socket.
+  gs[1]->rt->run_until(gs[1]->rt->now() + 5_ms);
   EXPECT_EQ(gs[1]->tx->stats().received, 0u);
 }
 

@@ -18,6 +18,9 @@
 // exits non-zero. A case that diffs is rerun once at double the time
 // scale; its verdict then reads e.g. `MATCH (retried at scale 4)`, and a
 // closing `retried: N of M cases` line (also in summary.txt) counts them.
+// Beside summary.txt the harness writes summary.json: the case and retry
+// counts, and per case and attempt its Δ violations and each worker
+// process's wire-latency p99.
 //
 // Usage:
 //   hades_node --harness [--procs N] [--scenarios CSV] [--seeds CSV]
@@ -146,6 +149,8 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
        << " delayed=" << st.delayed << " dup=" << st.dup_dropped
        << " gaps=" << st.gaps_declared << " late=" << st.late_delivered
        << " delta_violations=" << st.delta_violations
+       << " latency_p50_ns=" << st.latency_p50_ns
+       << " latency_p99_ns=" << st.latency_p99_ns
        << " max_latency_ns=" << st.max_latency_ns;
     extra.push_back(os.str());
   }
@@ -160,12 +165,27 @@ int run_worker(const std::string& scenario_name, std::uint64_t seed,
 
 // ------------------------------------------------------------ harness --
 
+/// What one real run of a case measured on the wire.
+struct attempt_stats {
+  double time_scale = 0.0;
+  std::uint64_t delta_violations = 0;
+  std::map<std::uint32_t, std::int64_t> wire_p99_ns;  // by worker process
+};
+
 struct case_result {
   std::string name;
   bool passed = true;
   double retried_at = 0.0;  // time scale of the retry; 0 = not retried
   std::vector<std::string> notes;
+  std::vector<attempt_stats> attempts;  // the worker runs that got merged
 };
+
+/// The integer after `key=` in a `transport ...` line, or -1.
+std::int64_t field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return -1;
+  return std::strtoll(line.c_str() + at + key.size() + 2, nullptr, 10);
+}
 
 case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
                           std::size_t procs, std::uint16_t base_port,
@@ -248,7 +268,8 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
 
   // The real run must have honored the Δ bound the checkers assume — a
   // violated bound means the verdicts below grade a run outside the model.
-  std::uint64_t delta_violations = 0;
+  attempt_stats& at = res.attempts.emplace_back();
+  at.time_scale = time_scale;
   for (const auto& line : merged.extra) {
     std::istringstream is(line);
     std::string key;
@@ -256,15 +277,17 @@ case_result run_case_once(const std::string& scenario_name, std::uint64_t seed,
     if (key == "delta_violations") {
       std::uint64_t v = 0;
       is >> v;
-      delta_violations += v;
+      at.delta_violations += v;
     } else if (key == "transport") {
       res.notes.push_back(line);
+      at.wire_p99_ns[static_cast<std::uint32_t>(field(line, "proc"))] =
+          field(line, "latency_p99_ns");
     }
   }
-  if (delta_violations > 0) {
+  if (at.delta_violations > 0) {
     res.passed = false;
     res.notes.push_back("real run violated delta_max " +
-                        std::to_string(delta_violations) + " time(s)");
+                        std::to_string(at.delta_violations) + " time(s)");
   }
 
   std::vector<scenario::check_result> real_checks;
@@ -326,8 +349,40 @@ case_result run_case(const std::string& scenario_name, std::uint64_t seed,
   for (const auto& n : res.notes) notes.push_back("attempt 1: " + n);
   notes.insert(notes.end(), retry.notes.begin(), retry.notes.end());
   retry.notes = std::move(notes);
+  retry.attempts.insert(retry.attempts.begin(), res.attempts.begin(),
+                        res.attempts.end());
   retry.retried_at = time_scale * 2.0;
   return retry;
+}
+
+/// summary.json: the harness tally in machine-readable form.
+std::string summary_json(const std::vector<case_result>& results,
+                         std::size_t retried, bool all_passed) {
+  std::ostringstream os;
+  os << "{\n  \"cases\": " << results.size() << ",\n  \"retried\": " << retried
+     << ",\n  \"passed\": " << (all_passed ? "true" : "false")
+     << ",\n  \"results\": [";
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    const case_result& r = results[c];
+    os << (c == 0 ? "" : ",") << "\n    {\"case\": \"" << r.name
+       << "\", \"passed\": " << (r.passed ? "true" : "false")
+       << ", \"retried_at\": " << r.retried_at << ", \"attempts\": [";
+    for (std::size_t a = 0; a < r.attempts.size(); ++a) {
+      const attempt_stats& at = r.attempts[a];
+      os << (a == 0 ? "" : ", ") << "{\"time_scale\": " << at.time_scale
+         << ", \"delta_violations\": " << at.delta_violations
+         << ", \"wire_p99_ns\": [";
+      bool first = true;
+      for (const auto& [proc, p99] : at.wire_p99_ns) {
+        os << (first ? "" : ", ") << p99;
+        first = false;
+      }
+      os << "]}";
+    }
+    os << "]}";
+  }
+  os << "\n  ]\n}\n";
+  return os.str();
 }
 
 int run_harness(std::size_t procs, const std::vector<std::string>& scenarios,
@@ -341,14 +396,14 @@ int run_harness(std::size_t procs, const std::vector<std::string>& scenarios,
   std::filesystem::create_directories(work);
 
   bool all_passed = true;
-  std::size_t cases = 0, retried = 0;
+  std::size_t retried = 0;
+  std::vector<case_result> results;
   std::ostringstream summary;
   for (const auto& name : scenarios) {
     for (std::uint64_t seed : seeds) {
-      const case_result r =
-          run_case(name, seed, procs, base_port, time_scale, exe, work);
+      const case_result& r = results.emplace_back(
+          run_case(name, seed, procs, base_port, time_scale, exe, work));
       all_passed = all_passed && r.passed;
-      ++cases;
       // A verdict reached only in slow motion is marked, so a regression
       // cannot hide inside the retry.
       std::ostringstream verdict;
@@ -366,9 +421,11 @@ int run_harness(std::size_t procs, const std::vector<std::string>& scenarios,
     }
   }
   std::ostringstream tally;
-  tally << "retried: " << retried << " of " << cases << " cases";
+  tally << "retried: " << retried << " of " << results.size() << " cases";
   std::ofstream(work / "summary.txt") << summary.str() << tally.str() << '\n'
                                       << (all_passed ? "PASS\n" : "FAIL\n");
+  std::ofstream(work / "summary.json")
+      << summary_json(results, retried, all_passed);
   std::printf("%s\n", tally.str().c_str());
   std::printf("realtime harness: %s\n", all_passed ? "PASS" : "FAIL");
   return all_passed ? 0 : 1;
